@@ -10,8 +10,7 @@ Every change bumps the fragment's **membership epoch**
 ``system.catalog`` trace event and keys the fragment's broadcast
 stream (``f:<name>@e<epoch>``), so the offline auditor can evaluate
 replication completeness against the membership *in force when each
-update was installed*, and so a membership change starts a fresh FIFO
-stream rather than splicing into the old one.
+update was installed*.
 
 A **joiner** is brought current through the PR 5 cursor-based catch-up
 path (checkpoint + tail shipped by a donor) and is tracked in

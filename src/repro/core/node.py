@@ -140,7 +140,7 @@ class DatabaseNode:
         handler(message)
 
     def on_broadcast(self, sender: str, seq: int, body: dict[str, Any]) -> None:
-        """Reliable-broadcast delivery callback (FIFO per sender)."""
+        """Broadcast delivery callback (FIFO per sender, from the channel)."""
         kind = body.get("type")
         if kind == QTB_TYPE:
             self.system.pipeline.deliver(

@@ -14,7 +14,7 @@
     assert tracker.succeeded
 
 It wires one discrete-event simulator, a topology/network with a
-partition manager, the reliable FIFO broadcast, one
+partition manager, the broadcast fan-out over its FIFO channels, one
 :class:`~repro.core.node.DatabaseNode` per site, the fragment catalog
 and read-access graph, a control strategy (Sections 4.1-4.3), and a
 movement protocol (Section 4.4).
@@ -108,7 +108,6 @@ class FragmentedDatabase:
         seed: int = 0,
         default_latency: float = 1.0,
         action_delay: float = 0.0,
-        fifo_broadcast: bool = True,
         pipeline: PipelineConfig | None = None,
         faults: FaultPlan | None = None,
         reliable: ReliableConfig | bool | None = None,
@@ -176,7 +175,7 @@ class FragmentedDatabase:
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
-        self.broadcast = ReliableBroadcast(self.network, fifo=fifo_broadcast)
+        self.broadcast = ReliableBroadcast(self.network)
         self.pipeline = ReplicationPipeline(pipeline)
         self.pipeline.attach(self)
         self.partitions = PartitionManager(self.network)
@@ -507,9 +506,8 @@ class FragmentedDatabase:
         broadcast-to-all channel (``targets=None``, stream ``""``) —
         the paper's wire behaviour, bit-identical to previous releases.
         A fragment with a restricted replica set multicasts to exactly
-        that set on its own FIFO stream, so message volume scales with
-        the replication factor k, not the cluster size N, and
-        non-members see no sequence gaps.
+        that set on its own stream, so message volume scales with the
+        replication factor k, not the cluster size N.
         """
         restricted = self.replication.get(fragment)
         if restricted is None:
@@ -519,9 +517,9 @@ class FragmentedDatabase:
             # Membership never changed: the PR 7 stream name, so seeded
             # runs without reconfiguration stay bit-identical.
             return tuple(sorted(restricted)), f"f:{fragment}"
-        # Each membership epoch gets its own FIFO stream: a joiner
-        # starts clean on the new stream instead of seeing a sequence
-        # gap for every pre-join message it never received.
+        # Each membership epoch numbers its messages on its own
+        # stream, so the wire identity on a lineage span names the
+        # membership the message was sent under.
         return tuple(sorted(restricted)), f"f:{fragment}@e{epoch}"
 
     def declare_reads(

@@ -9,11 +9,13 @@ reliable broadcast mechanism with two guarantees (Section 3.2):
 
 :class:`~repro.net.network.Network` models links with latency and
 up/down state; messages between nodes that are currently disconnected
-are *held* and delivered after connectivity is restored (eventual
-delivery).  :class:`~repro.net.broadcast.ReliableBroadcast` layers
-per-sender sequence numbers and receiver-side reordering buffers on top
-(FIFO processing), so the paper's guarantee holds even across
-partitions and heals.
+are *held*, in send order, and delivered after connectivity is
+restored (eventual delivery), and every ``(src, dst)`` channel is FIFO
+(FIFO processing), so the paper's guarantees hold even across
+partitions and heals.  :class:`~repro.net.broadcast.ReliableBroadcast`
+is a stateless fan-out over those channels;
+:class:`~repro.net.reliable.ReliableTransport` re-earns both guarantees
+when faults are injected.
 """
 
 from repro.net.broadcast import ReliableBroadcast

@@ -22,11 +22,14 @@ Semantics
   message is gone forever (this is what breaks the paper's requirement
   (1)); with it, the retransmit path recovers.
 * **Duplication** schedules a second, independently jittered copy of
-  the same payload.  The reliable delivery layer (or, for broadcast
-  traffic without it, the per-sender seqno dedup) must absorb it.
+  the same payload.  The reliable delivery layer must absorb it:
+  nothing above the transport de-duplicates messages (stream admission
+  drops a repeated quasi-transaction, but unicast protocol traffic has
+  no second line of defence).
 * **Jitter** adds a uniform random extra latency per scheduled copy.
-  With per-channel FIFO floors disabled this reorders messages; with
-  them enabled it still perturbs cross-channel interleavings.
+  With per-channel FIFO floors disabled this reorders messages (the
+  E12a ablation's reordering channel); with them enabled it still
+  perturbs cross-channel interleavings.
 * **Flaps** take one link down for a fixed window and revive it after,
   unless a partition episode or a crashed endpoint holds it down (the
   ``revive_guard`` hook, installed by ``FragmentedDatabase``).
@@ -237,7 +240,7 @@ class FaultInjector:
                     kind=message.kind,
                 )
             return
-        self.network._schedule_raw(message, latency + self._jitter_draw())
+        self.network.put_on_wire(message, latency + self._jitter_draw())
         if self.plan.dup_rate > 0.0 and self.rng.bernoulli(self.plan.dup_rate):
             self.duplicated += 1
             self._c_duplicated.inc()
@@ -255,7 +258,7 @@ class FaultInjector:
                 message.payload,
                 sent_at=message.sent_at,
             )
-            self.network._schedule_raw(clone, latency + self._jitter_draw())
+            self.network.put_on_wire(clone, latency + self._jitter_draw())
 
     # -- internals ------------------------------------------------------
 

@@ -9,10 +9,19 @@ Semantics
   connectivity restored (the paper's "propagation will be completed
   after the partition is fixed").
 * Per-channel FIFO: messages on the same ``(src, dst)`` channel are
-  delivered in send order even if latencies would reorder them.  The
-  reliable broadcast layer additionally enforces per-sender order
-  across its own sequence numbers, but FIFO channels keep unicast
-  protocol messages (lock requests/grants, move handshakes) sane too.
+  delivered in send order even if latencies would reorder them or a
+  partition catches some of them in flight.  This is the *only* place
+  the fault-free stack orders messages: the paper's requirement
+  3.2-(2) (per-sender FIFO processing) holds for broadcast and unicast
+  traffic alike (quasi-transactions, lock grants, move handshakes,
+  quorum votes, heartbeats) because every channel is FIFO, and the
+  broadcast layer above is a stateless fan-out.  Two mechanisms carry
+  it: a delivery-time floor per channel (a later send never lands
+  before an earlier one) and a held queue kept in *send* order (a
+  message re-held at delivery time goes back in front of messages
+  sent after it).  Under injected loss, duplication or reordering the
+  :class:`~repro.net.reliable.ReliableTransport` restores the same
+  contract with channel sequence numbers.
 
 Observability
 -------------
@@ -28,6 +37,7 @@ trace event.  The invariants the reconciliation tests rely on:
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import defaultdict
 from collections.abc import Callable
 from typing import Any
@@ -41,6 +51,13 @@ from repro.obs.trace import Tracer
 from repro.sim.simulator import Simulator
 
 Handler = Callable[[Message], None]
+
+
+def _send_order(message: Message) -> tuple[float, int]:
+    # ``msg_id`` alone orders sends made in this process; ``sent_at``
+    # leads so a frame decoded off a socket (fresh ``msg_id``, original
+    # ``sent_at``) still sorts before messages sent after it.
+    return (message.sent_at, message.msg_id)
 
 
 class Network:
@@ -82,14 +99,10 @@ class Network:
         self._kind_counters: dict[str, Any] = {}
         self._h_delay = self.metrics.histogram("net.delivery_delay")
         self.metrics.gauge("net.held_now", self.held_count)
-        # Optional realism knobs (used by ablation experiments):
-        # per-message latency jitter drawn from jitter_rng, and the
-        # per-channel FIFO floor (on by default; switching it off lets
-        # jittered messages overtake each other on one channel, which
-        # is exactly what the reliable broadcast layer's sequence
-        # numbers must then repair).
-        self.jitter = 0.0
-        self.jitter_rng = None
+        # The per-channel FIFO floor.  The E12a ablation switches it
+        # off so a FaultPlan's jitter lets messages overtake each other
+        # on one channel — which the reliable transport's channel
+        # sequence numbers must then repair.
         self.fifo_channels = True
         # Optional attached layers.  ``faults`` (a FaultInjector) takes
         # over delivery scheduling to inject loss/dup/jitter;
@@ -244,7 +257,10 @@ class Network:
             self._schedule_delivery(message, latency)
 
     def _hold(self, message: Message) -> None:
-        self._held[(message.src, message.dst)].append(message)
+        # Send order, not hold order: a message a partition catches in
+        # flight gets here at its delivery time, after later sends were
+        # held directly.
+        insort(self._held[(message.src, message.dst)], message, key=_send_order)
         self._c_held.inc()
         if self.tracer.enabled:
             self.tracer.emit(
@@ -257,18 +273,23 @@ class Network:
     def _schedule_delivery(self, message: Message, latency: float) -> None:
         # The fault injector, when attached, owns the scheduling
         # decision for every link-crossing delivery (drop / jitter /
-        # duplicate); it calls back into ``_schedule_raw`` for each
+        # duplicate); it calls back into ``put_on_wire`` for each
         # copy that survives.
         if self.faults is not None:
             self.faults.intercept(message, latency)
             return
-        self._schedule_raw(message, latency)
+        self.put_on_wire(message, latency)
 
-    def _schedule_raw(self, message: Message, latency: float) -> None:
+    def put_on_wire(self, message: Message, latency: float) -> None:
+        """Physically transmit one link-crossing message.
+
+        The backend seam: here a delivery event ``latency`` ticks out;
+        :class:`~repro.runtime.tcp.TcpMeshNetwork` overrides it with a
+        real socket write.  Holds, fault injection and the reliable
+        transport's wrapping have all happened by the time it runs.
+        """
         channel = (message.src, message.dst)
         at = self.sim.now + latency
-        if self.jitter and self.jitter_rng is not None:
-            at += self.jitter_rng.uniform(0.0, self.jitter)
         if self.fifo_channels:
             floor = self._last_delivery.get(channel, 0.0)
             if at < floor:

@@ -17,7 +17,8 @@ implements the assumption instead of inheriting it:
   channel sequence number exactly once and in order, buffering gaps,
   so unicast protocol traffic (lock requests/grants, move handshakes,
   majority prepare/ack, M0 forwards) keeps its FIFO-channel contract
-  and the broadcast layer above never sees transport-level loss;
+  and the broadcast fan-out above — which repairs nothing itself —
+  never sees transport-level loss;
 * **cumulative + selective acks** — every received packet triggers an
   ack carrying the in-order high-water mark plus the buffered
   out-of-order seqnos, letting the sender retire packets the receiver
@@ -30,9 +31,9 @@ the held original will be released at the heal (the network's
 partition semantics), and burning the retry budget against a partition
 would turn every long partition into a delivery failure.
 
-Transport state is middleware state: like the broadcast layer's
-reorder buffers, it survives node crashes (the paper's node model
-loses *database* state, not the network substrate's bookkeeping).
+Transport state is middleware state: it survives node crashes (the
+paper's node model loses *database* state, not the network substrate's
+bookkeeping).
 """
 
 from __future__ import annotations

@@ -28,11 +28,6 @@ RETRANS_DUPLICATE = "retrans.duplicate"  # receiver-side dedup drop
 RETRANS_BUFFER = "retrans.buffer"  # out-of-order packet buffered
 RETRANS_EXHAUSTED = "retrans.exhausted"  # retry budget spent, gave up
 
-# -- reliable broadcast (repro.net.broadcast) -------------------------
-BROADCAST_BUFFER = "broadcast.buffer"  # out-of-order, first sighting
-BROADCAST_DRAIN = "broadcast.drain"  # buffered payload delivered
-BROADCAST_DUPLICATE = "broadcast.duplicate"  # replay/held-original dup
-
 # -- transactions (repro.core.system) ---------------------------------
 TXN_SUBMIT = "txn.submit"
 TXN_COMMIT = "txn.commit"

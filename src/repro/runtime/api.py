@@ -109,6 +109,8 @@ class TransportProtocol(Protocol):
 
     Satisfied by :class:`repro.net.network.Network` (simulated latency)
     and :class:`repro.runtime.tcp.TcpMeshNetwork` (real sockets).
+    ``put_on_wire`` is the one step a backend replaces: how a message
+    that has cleared holds and fault injection physically travels.
     """
 
     def register(self, node: str, handler: Callable[[Any], None]) -> None: ...
@@ -116,3 +118,5 @@ class TransportProtocol(Protocol):
     def send(self, src: str, dst: str, kind: str, payload: Any) -> Any: ...
 
     def topology_changed(self) -> None: ...
+
+    def put_on_wire(self, message: Any, latency: float) -> None: ...

@@ -14,9 +14,10 @@ side — receivers dispatch on ``isinstance(payload, RPacket)`` /
 ``isinstance(payload, SeqPayload)``, so a dict lookalike would not do.
 Tuples, sets, bytes, and non-string-keyed dicts get their own tags
 (JSON would silently flatten them to lists/strings).  Anything
-unregistered falls back to pickle-in-base64 so exotic workload values
-still travel; the fallback is counted so a hot path quietly leaning on
-pickle shows up in metrics.
+unregistered is refused with a :class:`CodecError` at encode time, and
+nothing a peer sends is ever executed: an unknown tag, a missing
+envelope field or a dataclass whose fields do not fit its class is a
+:class:`CodecError` at decode time.
 
 Frames on the socket are ``4-byte big-endian length + JSON body`` —
 self-delimiting, so one TCP connection carries any number of messages
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import base64
 import json
-import pickle
 import struct
 from typing import Any
 
@@ -37,12 +37,13 @@ from repro.net.message import Message
 _TAG = "__wire__"
 _LEN = struct.Struct(">I")
 
-#: Refuse absurd frame lengths (corrupt prefix, stray connection).
+#: Largest frame body a reader accepts; a longer length prefix (corrupt
+#: prefix, stray connection) closes the connection.
 MAX_FRAME = 64 * 1024 * 1024
 
 
 class CodecError(Exception):
-    """A frame that cannot be decoded."""
+    """A value that cannot be encoded or a frame that cannot be decoded."""
 
 
 class WireCodec:
@@ -50,7 +51,6 @@ class WireCodec:
 
     def __init__(self) -> None:
         self._types: dict[str, type] = {}
-        self.pickle_fallbacks = 0
 
     def register(self, cls: type) -> type:
         """Teach the codec one dataclass (field-wise round trip)."""
@@ -77,15 +77,28 @@ class WireCodec:
         """Wire frame body (without the length prefix) -> message."""
         try:
             raw = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CodecError(f"undecodable frame: {exc}") from exc
-        return Message(
-            raw["src"],
-            raw["dst"],
-            raw["kind"],
-            self.decode(raw["payload"]),
-            sent_at=raw["sent_at"],
-        )
+            message = Message(
+                raw["src"],
+                raw["dst"],
+                raw["kind"],
+                self.decode(raw["payload"]),
+                sent_at=raw["sent_at"],
+            )
+        except (
+            ValueError, KeyError, TypeError, AttributeError, RecursionError
+        ) as exc:
+            # Bad UTF-8 or JSON, a missing envelope field, a tagged
+            # value of the wrong shape, dataclass fields that do not
+            # fit the class, nesting past the interpreter's limit.
+            raise CodecError(f"undecodable frame: {exc!r}") from exc
+        if not (
+            isinstance(message.src, str)
+            and isinstance(message.dst, str)
+            and isinstance(message.kind, str)
+            and isinstance(message.sent_at, (int, float))
+        ):
+            raise CodecError("frame envelope fields have the wrong types")
+        return message
 
     # -- value layer -----------------------------------------------------
 
@@ -124,9 +137,7 @@ class WireCodec:
                 "type": cls_name,
                 "fields": {k: self.encode(v) for k, v in fields.items()},
             }
-        self.pickle_fallbacks += 1
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        return {_TAG: "pickle", "b64": base64.b64encode(blob).decode()}
+        raise CodecError(f"unregistered payload type {cls_name!r}")
 
     def decode(self, value: Any) -> Any:
         """Inverse of :meth:`encode`."""
@@ -155,8 +166,6 @@ class WireCodec:
                 raise CodecError(f"unregistered wire type {value['type']!r}")
             fields = {k: self.decode(v) for k, v in value["fields"].items()}
             return cls(**fields)
-        if tag == "pickle":
-            return pickle.loads(base64.b64decode(value["b64"]))
         raise CodecError(f"unknown wire tag {tag!r}")
 
 

@@ -26,6 +26,8 @@ import asyncio
 import random
 from typing import Any
 
+from repro.runtime.codec import MAX_FRAME
+
 
 class FaultProxy:
     """A frame-parsing TCP forwarder with injectable faults."""
@@ -122,6 +124,11 @@ class FaultProxy:
                 try:
                     header = await reader.readexactly(4)
                     length = int.from_bytes(header, "big")
+                    if length > MAX_FRAME:
+                        # Nothing after a bad prefix can be framed.
+                        if self._metrics is not None:
+                            self._metrics.inc("tcp.frames_undecodable")
+                        return
                     body = await reader.readexactly(length)
                 except (asyncio.IncompleteReadError, ConnectionError, OSError):
                     return

@@ -1,7 +1,8 @@
 """TcpMeshNetwork: the Network surface over real asyncio TCP sockets.
 
-Subclasses :class:`~repro.net.network.Network` and replaces exactly one
-internal step — how a link-crossing message physically travels.  The
+Subclasses :class:`~repro.net.network.Network` and overrides exactly one
+step — :meth:`~repro.net.network.Network.put_on_wire`, how a
+link-crossing message physically travels.  The
 whole observable surface above it (send/deliver counters, trace events,
 partition holds, the reliable transport's wrap/intercept hooks) is
 inherited unchanged, so protocol code and the audit cannot tell the
@@ -40,7 +41,7 @@ from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.runtime.codec import CodecError, WireCodec, default_codec
+from repro.runtime.codec import MAX_FRAME, CodecError, WireCodec, default_codec
 from repro.runtime.proxy import FaultProxy
 from repro.runtime.scheduler import AsyncioScheduler
 
@@ -82,10 +83,12 @@ class TcpMeshNetwork(Network):
         self._conn_tasks: set[asyncio.Task] = set()
         self._conn_writers: set[asyncio.StreamWriter] = set()
         self._started = False
+        self._closed = False
         self._c_frames_out = self.metrics.counter("tcp.frames_sent")
         self._c_frames_in = self.metrics.counter("tcp.frames_received")
         self._c_frames_down = self.metrics.counter("tcp.frames_dropped_down")
         self._c_frames_lost = self.metrics.counter("tcp.frames_lost")
+        self._c_undecodable = self.metrics.counter("tcp.frames_undecodable")
         self._c_bytes_out = self.metrics.counter("tcp.bytes_sent")
         self.metrics.gauge("tcp.outbox_now", self._outbox_depth)
 
@@ -95,6 +98,7 @@ class TcpMeshNetwork(Network):
         """Bind one server (and optional proxy) per registered node."""
         if self._started:
             return
+        self._closed = False
         self.sim.run_coroutine(self._start())
         self._started = True
 
@@ -133,6 +137,12 @@ class TcpMeshNetwork(Network):
         self._started = False
 
     async def _stop(self) -> None:
+        # Closed from here until the next start(): put_on_wire refuses
+        # frames, because a retransmit timer firing during the awaits
+        # below would otherwise create a fresh queue and sender task
+        # that nothing cancels, and one firing after them has no mesh
+        # to send on.
+        self._closed = True
         for server in self._servers.values():
             server.close()
         senders = list(self._senders.values())
@@ -179,11 +189,14 @@ class TcpMeshNetwork(Network):
 
     # -- transmission override -------------------------------------------
 
-    def _schedule_raw(self, message: Message, latency: float) -> None:
+    def put_on_wire(self, message: Message, latency: float) -> None:
         # The simulated backend turns ``latency`` into a delivery event;
         # here the wire supplies its own latency (plus whatever the
         # fault proxy injects), so the model value is ignored.  Holds
         # and partition semantics already happened in ``_transmit``.
+        if self._closed:
+            self._c_frames_lost.inc()
+            return
         if not self._started:
             raise NetworkError(
                 "TCP mesh not started: call FragmentedDatabase.start_runtime()"
@@ -252,13 +265,24 @@ class TcpMeshNetwork(Network):
                 try:
                     header = await reader.readexactly(4)
                     length = int.from_bytes(header, "big")
+                    if length > MAX_FRAME:
+                        # Nothing after a bad prefix can be framed.
+                        self._c_undecodable.inc()
+                        return
                     body = await reader.readexactly(length)
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
+                except asyncio.IncompleteReadError as exc:
+                    if exc.partial:  # the peer hung up mid-frame
+                        self._c_undecodable.inc()
+                    return
+                except (ConnectionError, OSError):
                     return
                 try:
                     message = self.codec.decode_frame(body)
                 except CodecError:
-                    self.metrics.inc("tcp.frames_undecodable")
+                    self._c_undecodable.inc()
+                    continue
+                if message.dst != node or message.src not in self._handlers:
+                    self._c_undecodable.inc()  # not a frame of this mesh
                     continue
                 self._on_frame(message)
         finally:

@@ -119,7 +119,6 @@ class TestRetransmitIdentity:
         duplicates = [
             e
             for e in events_of(db, taxonomy.RETRANS_DUPLICATE)
-            + events_of(db, taxonomy.BROADCAST_DUPLICATE)
             if e.fields.get("txns")
         ]
         assert duplicates, "dup-rate 20% must surface duplicate drops"

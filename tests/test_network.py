@@ -144,6 +144,19 @@ class TestNetworkDelivery:
         assert len(received) == 1
         assert received[0] >= 20.0  # not lost, delivered after the heal
 
+    def test_message_reheld_in_flight_stays_ahead_of_later_sends(self):
+        sim, topo, net = make_net(["A", "B"], latency=5.0)
+        received = []
+        net.register("B", lambda m: received.append(m.payload))
+        net.register("A", lambda m: None)
+        manager = PartitionManager(net)
+        net.send("A", "B", "m", "m1")  # in flight until t=5
+        sim.schedule(2.0, lambda: manager.partition_now([["A"], ["B"]]))
+        sim.schedule(3.0, lambda: net.send("A", "B", "m", "m2"))  # held at send
+        sim.schedule(20.0, manager.heal_now)  # m1 was re-held at t=5
+        sim.run()
+        assert received == ["m1", "m2"]
+
     def test_stats_and_errors(self):
         sim, topo, net = make_net(["A", "B"])
         net.register("A", lambda m: None)
@@ -214,11 +227,11 @@ class TestPartitionSpec:
 
 
 class TestReliableBroadcast:
-    def make(self, nodes=("A", "B", "C"), fifo=True):
+    def make(self, nodes=("A", "B", "C")):
         sim = Simulator()
         topo = Topology.full_mesh(nodes)
         net = Network(sim, topo)
-        bcast = ReliableBroadcast(net, fifo=fifo)
+        bcast = ReliableBroadcast(net)
         logs = {n: [] for n in nodes}
         for n in nodes:
             bcast.attach(n, lambda s, q, b, n=n: logs[n].append((s, q, b)))
@@ -270,32 +283,42 @@ class TestReliableBroadcast:
         sim.run()
         assert [b for (_s, _q, b) in logs["B"]] == ["in-flight"]
 
-    def test_out_of_order_buffering(self):
+    def test_multicast_honours_targets(self):
+        sim, net, bcast, logs = self.make(("A", "B", "C", "D"))
+        bcast.multicast("A", "to-b-and-c", targets=["B", "C"], stream="s")
+        # "Z" is not attached: skipped, not an error.
+        bcast.multicast("A", "to-a-and-d", targets=["A", "D", "Z"], stream="s")
+        sim.run()
+        assert logs["A"] == [("A", 1, "to-a-and-d")]  # only when targeted
+        assert logs["B"] == [("A", 0, "to-b-and-c")]
+        assert logs["C"] == [("A", 0, "to-b-and-c")]
+        assert logs["D"] == [("A", 1, "to-a-and-d")]
+        assert net.messages_sent == 3
+
+    def test_seq_is_monotone_per_sender_and_stream(self):
+        sim, net, bcast, logs = self.make()
+        assert bcast.next_seq("A", "s") == 0
+        seqs = [
+            bcast.multicast("A", None, stream="s"),
+            bcast.multicast("A", None, stream="t"),
+            bcast.multicast("B", None, stream="s"),
+            bcast.multicast("A", None, stream="s"),
+            bcast.broadcast("A", None),
+        ]
+        assert seqs == [0, 0, 0, 1, 0]
+        assert bcast.next_seq("A", "s") == 2
+
+    def test_fan_out_keeps_no_receiver_state(self):
+        """A payload is handed on as it arrives: whatever order and
+        however often the channel delivers is what the node sees."""
+        from repro.net.broadcast import SeqPayload
+        from repro.net.message import Message
+
         sim, net, bcast, logs = self.make(("A", "B"))
-        # Inject seq 1 before seq 0 manually via the wire format.
-        from repro.net.broadcast import SeqPayload
-
-        bcast._process("B", SeqPayload("A", 1, "k", "second"))
-        assert logs["B"] == []
-        assert bcast.out_of_order_buffered == 1
-        bcast._process("B", SeqPayload("A", 0, "k", "first"))
-        assert [b for (_s, _q, b) in logs["B"]] == ["first", "second"]
-
-    def test_duplicates_dropped(self):
-        from repro.net.broadcast import SeqPayload
-
-        sim, net, bcast, logs = self.make(("A", "B"))
-        bcast._process("B", SeqPayload("A", 0, "k", "x"))
-        bcast._process("B", SeqPayload("A", 0, "k", "x"))
-        assert len(logs["B"]) == 1
-
-    def test_non_fifo_mode_delivers_immediately(self):
-        from repro.net.broadcast import SeqPayload
-
-        sim, net, bcast, logs = self.make(("A", "B"), fifo=False)
-        bcast._process("B", SeqPayload("A", 5, "k", "later"))
-        bcast._process("B", SeqPayload("A", 0, "k", "earlier"))
-        assert [b for (_s, _q, b) in logs["B"]] == ["later", "earlier"]
+        for seq in (5, 0, 0):
+            payload = SeqPayload("A", seq, "k", f"m{seq}")
+            bcast.handle_message(Message("A", "B", "k", payload))
+        assert logs["B"] == [("A", 5, "m5"), ("A", 0, "m0"), ("A", 0, "m0")]
 
     def test_interleaved_senders_fifo_per_sender(self):
         sim, net, bcast, logs = self.make()

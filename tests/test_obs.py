@@ -7,7 +7,7 @@ import pytest
 from repro import FragmentedDatabase
 from repro.cc.ops import Read, Write
 from repro.errors import DesignError
-from repro.net.broadcast import ReliableBroadcast, SeqPayload
+from repro.net.broadcast import ReliableBroadcast
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.obs import (
@@ -283,46 +283,22 @@ class TestTracer:
 
 
 class TestBroadcastAccounting:
-    """S4: duplicate replays must not inflate out_of_order_buffered and
-    drained channel buffers must be released."""
-
-    def make(self, nodes=("A", "B")):
-        sim = Simulator()
-        net = Network(sim, Topology.full_mesh(nodes))
+    def test_fan_out_exports_only_the_send_count(self):
+        net = Network(Simulator(), Topology.full_mesh(["A", "B"]))
         bcast = ReliableBroadcast(net)
-        logs = {n: [] for n in nodes}
-        for n in nodes:
-            bcast.attach(n, lambda s, q, b, n=n: logs[n].append((s, q, b)))
-        return sim, net, bcast, logs
-
-    def test_same_seq_replay_counts_once(self):
-        sim, net, bcast, logs = self.make()
-        bcast._process("B", SeqPayload("A", 1, "k", "second"))
-        bcast._process("B", SeqPayload("A", 1, "k", "second-replay"))
-        assert bcast.out_of_order_buffered == 1
-        assert bcast.duplicates_dropped == 1
-        assert net.metrics.value("bcast.out_of_order_buffered") == 1
-        assert net.metrics.value("bcast.duplicates_dropped") == 1
-        bcast._process("B", SeqPayload("A", 0, "k", "first"))
-        assert [b for (_s, _q, b) in logs["B"]] == ["first", "second"]
-
-    def test_drained_channel_buffer_is_released(self):
-        sim, net, bcast, logs = self.make()
-        bcast._process("B", SeqPayload("A", 2, "k", "third"))
-        bcast._process("B", SeqPayload("A", 1, "k", "second"))
-        assert bcast.buffered_count() == 2
-        bcast._process("B", SeqPayload("A", 0, "k", "first"))
-        assert [b for (_s, _q, b) in logs["B"]] == ["first", "second", "third"]
-        assert bcast.buffered_count() == 0
-        assert bcast._buffer == {}  # channel dict dropped, not leaked
-        assert net.metrics.value("bcast.drained") == 2
-
-    def test_stale_duplicate_counted(self):
-        sim, net, bcast, logs = self.make()
-        bcast._process("B", SeqPayload("A", 0, "k", "x"))
-        bcast._process("B", SeqPayload("A", 0, "k", "x-again"))
-        assert bcast.duplicates_dropped == 1
-        assert len(logs["B"]) == 1
+        for node in ("A", "B"):
+            bcast.attach(node, lambda s, q, b: None)
+        bcast.broadcast("A", "x")
+        bcast.multicast("A", "y", targets=["B"], stream="s")
+        assert net.metrics.value("bcast.sent") == 2
+        snapshot = net.metrics.snapshot()
+        exported = [
+            name
+            for section in snapshot.values()
+            for name in section
+            if name.startswith("bcast.")
+        ]
+        assert exported == ["bcast.sent"]
 
 
 class TestSimulatorPending:

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cc.locks import LockMode, LockTable
 from repro.net import Network, ReliableBroadcast, Topology
-from repro.net.broadcast import SeqPayload
 from repro.sim import SeededRng, Simulator
 
 OBJECTS = ["x", "y", "z"]
@@ -81,52 +80,83 @@ class TestLockTableInvariants:
                     assert held is mode or held is LockMode.X
 
 
+#: Timed send / cut / heal steps over the channels of a 3-node mesh.
+channel_scripts = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=40.0, allow_nan=False),
+        st.sampled_from(["send", "send", "send", "cut", "heal"]),
+        st.sampled_from([("A", "B"), ("B", "A"), ("A", "C")]),
+    ),
+    min_size=1,
+    max_size=40,
+).map(lambda steps: sorted(steps, key=lambda step: step[0]))
+
+
+class TestChannelFifoInvariants:
+    @given(script=channel_scripts)
+    @settings(max_examples=200)
+    def test_unicast_delivery_order_equals_send_order(self, script):
+        """Per-channel FIFO is the bare network's own contract: no
+        broadcast layer, no reliable transport, links cut and healed
+        while messages are in flight."""
+        sim = Simulator()
+        topo = Topology(["A", "B", "C"])
+        topo.add_link("A", "B", 3.0)
+        topo.add_link("B", "C", 1.0)
+        topo.add_link("A", "C", 7.0)  # A->C reroutes when A-B is cut
+        net = Network(sim, topo)
+        delivered = {}
+        for node in topo.nodes:
+            net.register(
+                node,
+                lambda m: delivered.setdefault((m.src, m.dst), []).append(
+                    m.payload
+                ),
+            )
+        sent = {}
+
+        def step(index, action, channel):
+            if action == "send":
+                sent.setdefault(channel, []).append(index)
+                net.send(*channel, "m", index)
+            else:
+                topo.set_link_up(*channel, action == "heal")
+                net.topology_changed()
+
+        for index, (at, action, channel) in enumerate(script):
+            sim.schedule_at(
+                at, lambda i=index, a=action, c=channel: step(i, a, c)
+            )
+        sim.run()
+        for link in topo.links:
+            link.up = True
+        net.topology_changed()
+        sim.run()
+        assert delivered == sent
+        assert net.held_count() == 0
+
+
 class TestBroadcastInvariants:
     @given(
-        order=st.permutations(list(range(8))),
-        dup=st.lists(st.integers(min_value=0, max_value=7), max_size=4),
-    )
-    @settings(max_examples=150)
-    def test_any_arrival_order_delivers_in_sequence_exactly_once(
-        self, order, dup
-    ):
-        sim = Simulator()
-        topo = Topology.full_mesh(["A", "B"])
-        net = Network(sim, topo)
-        bcast = ReliableBroadcast(net)
-        delivered = []
-        bcast.attach("A", lambda s, q, b: None)
-        bcast.attach("B", lambda s, q, b: delivered.append(q))
-        for seq in list(order) + list(dup):
-            bcast._process("B", SeqPayload("A", seq, "k", f"m{seq}"))
-        assert delivered == list(range(8))
-
-    @given(
-        seqs_a=st.permutations(list(range(5))),
-        seqs_b=st.permutations(list(range(5))),
+        sends=st.lists(
+            st.tuples(
+                st.sampled_from(["A", "B"]), st.sampled_from(["", "s", "t"])
+            ),
+            max_size=30,
+        )
     )
     @settings(max_examples=50)
-    def test_per_sender_streams_are_independent(self, seqs_a, seqs_b):
-        sim = Simulator()
-        topo = Topology.full_mesh(["A", "B", "C"])
-        net = Network(sim, topo)
+    def test_seq_is_dense_per_sender_and_stream(self, sends):
+        net = Network(Simulator(), Topology.full_mesh(["A", "B"]))
         bcast = ReliableBroadcast(net)
-        delivered = []
-        for name in ("A", "B", "C"):
-            bcast.attach(
-                name,
-                (lambda s, q, b: delivered.append((s, q)))
-                if name == "C"
-                else (lambda s, q, b: None),
-            )
-        for seq in seqs_a:
-            bcast._process("C", SeqPayload("A", seq, "k", None))
-        for seq in seqs_b:
-            bcast._process("C", SeqPayload("B", seq, "k", None))
-        from_a = [q for s, q in delivered if s == "A"]
-        from_b = [q for s, q in delivered if s == "B"]
-        assert from_a == list(range(5))
-        assert from_b == list(range(5))
+        bcast.attach("A", lambda s, q, b: None)
+        bcast.attach("B", lambda s, q, b: None)
+        assigned = {}
+        for sender, stream in sends:
+            seq = bcast.multicast(sender, None, stream=stream)
+            assigned.setdefault((sender, stream), []).append(seq)
+        for seqs in assigned.values():
+            assert seqs == list(range(len(seqs)))
 
 
 class TestSimulatorInvariants:

@@ -18,6 +18,7 @@ from repro import (
 )
 from repro.cc.ops import Read, Write
 from repro.core.movement.base import MovementProtocol
+from repro.net import FaultPlan
 from repro.obs import taxonomy
 from repro.replication import (
     BlindAdmission,
@@ -253,24 +254,25 @@ class TestBackpressure:
 
 
 class TestFifoAblationWithBatching:
-    """Batching under the ``fifo=False`` ablation (E12a's knob).
+    """Batching under the FIFO ablation (E12a's arms).
 
-    A batch rides one broadcast message, so a non-FIFO network can
-    permute whole batches but never interleave the members of one
-    batch: the reorder boundary is the batch boundary.
+    The channel genuinely reorders messages; ``reliable=True`` restores
+    per-channel FIFO with the transport's sequence numbers,
+    ``reliable=False`` leaves requirement 3.2-(2) unmet.  A batch rides
+    one message, so a non-FIFO network can permute whole batches but
+    never interleave the members of one batch: the reorder boundary is
+    the batch boundary.
     """
 
     def reorder_db(self, fifo, pipeline=None, seed=2):
         db = FragmentedDatabase(
             ["A", "B", "C"],
-            fifo_broadcast=fifo,
             movement=InstantMoveProtocol(),
             seed=seed,
             pipeline=pipeline,
+            faults=FaultPlan(jitter=5.0),
+            reliable=fifo,
         )
-        # A jittery network whose channels genuinely reorder messages.
-        db.network.jitter = 5.0
-        db.network.jitter_rng = db.rng.fork("net-jitter")
         db.network.fifo_channels = False
         db.add_agent("ag", home_node="A")
         db.add_fragment("F", agent="ag", objects=["x"])

@@ -6,6 +6,9 @@ so these tests drive real sockets and a real event loop through the
 exact entry points the simulated tests use.
 """
 
+import asyncio
+import json
+import socket
 import threading
 import time
 
@@ -18,10 +21,19 @@ from repro.core.transaction import QuasiTransaction
 from repro.errors import DesignError, SimulationError
 from repro.net.broadcast import SeqPayload
 from repro.net.message import Message
+from repro.net.network import Network
 from repro.net.reliable import RPacket
 from repro.storage.values import Version
-from repro.runtime.codec import CodecError, WireCodec, default_codec
+from repro.net.topology import Topology
+from repro.runtime.api import (
+    CancellableHandle,
+    SchedulerProtocol,
+    TransportProtocol,
+)
+from repro.runtime.codec import MAX_FRAME, CodecError, WireCodec, default_codec
 from repro.runtime.scheduler import AsyncioScheduler
+from repro.runtime.tcp import TcpMeshNetwork
+from repro.sim import Simulator
 
 # ---------------------------------------------------------------------------
 # Wire codec
@@ -95,26 +107,59 @@ def test_codec_reconstructs_registered_dataclasses():
 
 
 class Odd:
-    """Unregistered, module-level (picklable) payload type."""
-
-    def __init__(self, v):
-        self.v = v
-
-    def __eq__(self, other):
-        return isinstance(other, Odd) and other.v == self.v
+    """Unregistered payload type."""
 
 
-def test_codec_pickle_fallback_for_unregistered_types():
+def test_codec_refuses_unregistered_types():
     codec = default_codec()
-    frame = codec.encode_frame(Message("A", "B", "odd", Odd(5)))
-    assert codec.decode_frame(frame[4:]).payload == Odd(5)
-    assert codec.pickle_fallbacks > 0
+    with pytest.raises(CodecError, match="Odd"):
+        codec.encode_frame(Message("A", "B", "odd", Odd()))
+    # Nothing a peer sends is executed: the old fallback's tag is just
+    # another unknown tag.
+    with pytest.raises(CodecError, match="unknown wire tag"):
+        codec.decode({"__wire__": "pickle", "b64": ""})
 
 
 def test_codec_rejects_garbage_frames():
     codec = WireCodec()
     with pytest.raises(CodecError):
         codec.decode_frame(b"not json at all")
+
+
+def frame_body(drop=None, **envelope) -> bytes:
+    fields = {"src": "A", "dst": "B", "kind": "k", "sent_at": 0.0,
+              "payload": None, **envelope}
+    fields.pop(drop, None)
+    return json.dumps(fields).encode()
+
+
+MALFORMED_BODIES = {
+    "not utf-8": b"\xff\xfe",
+    "not an object": b"[1, 2]",
+    "missing src": frame_body(drop="src"),
+    "missing dst": frame_body(drop="dst"),
+    "missing kind": frame_body(drop="kind"),
+    "missing payload": frame_body(drop="payload"),
+    "src not a string": frame_body(src=["A"]),
+    "unknown tag": frame_body(payload={"__wire__": "pickle", "b64": ""}),
+    "unregistered dc": frame_body(
+        payload={"__wire__": "dc", "type": "Nope", "fields": {}}
+    ),
+    "dc fields do not fit": frame_body(
+        payload={"__wire__": "dc", "type": "RPacket", "fields": {"x": 1}}
+    ),
+    "dc fields not an object": frame_body(
+        payload={"__wire__": "dc", "type": "RPacket", "fields": [1]}
+    ),
+    "tag without its items": frame_body(payload={"__wire__": "tuple"}),
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED_BODIES.values(),
+                         ids=MALFORMED_BODIES.keys())
+def test_codec_rejects_malformed_frames(body):
+    with pytest.raises(CodecError):
+        default_codec().decode_frame(body)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +339,200 @@ def test_tcp_mesh_hard_kill_failover_recommits():
     db.sim.check()
 
 
+# ---------------------------------------------------------------------------
+# TCP mesh: hostile bytes on the socket, teardown under traffic
+
+
+def start_mesh(sched, **kwargs):
+    net = TcpMeshNetwork(sched, Topology.full_mesh(["A", "B"]), **kwargs)
+    received = []
+    net.register("A", lambda m: None)
+    net.register("B", received.append)
+    net.start()
+    return net, received
+
+
+def framed(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + body
+
+
+def assert_closed_by_peer(conn: socket.socket) -> None:
+    conn.settimeout(5.0)
+    assert conn.recv(1) == b""
+
+
+@pytest.mark.parametrize("through_proxy", [False, True])
+def test_oversized_length_prefix_closes_the_connection(sched, through_proxy):
+    net, received = start_mesh(
+        sched, fault_profile={"drop": 0.0} if through_proxy else None
+    )
+    try:
+        port = net.proxies["B"].port if through_proxy else net.port_of("B")
+        with socket.create_connection(("127.0.0.1", port)) as conn:
+            conn.sendall((MAX_FRAME + 1).to_bytes(4, "big") + b"x" * 64)
+            assert_closed_by_peer(conn)
+        assert net.metrics.value("tcp.frames_undecodable") == 1
+        sched.invoke(lambda: net.send("A", "B", "ping", 1))
+        assert sched.wait_until(lambda: len(received) == 1, timeout=10.0)
+    finally:
+        net.stop()
+
+
+def test_malformed_frames_are_counted_and_skipped(sched):
+    net, received = start_mesh(sched)
+    try:
+        with socket.create_connection(("127.0.0.1", net.port_of("B"))) as conn:
+            conn.sendall(framed(MALFORMED_BODIES["missing payload"]))
+            conn.sendall(framed(MALFORMED_BODIES["unknown tag"]))
+            conn.sendall(framed(frame_body(dst="nobody")))
+            # The connection survived all three: a good frame delivers.
+            conn.sendall(framed(frame_body(payload="ok")))
+            assert sched.wait_until(lambda: len(received) == 1, timeout=10.0)
+            # A frame the peer never finishes ends the reader task.
+            conn.sendall((100).to_bytes(4, "big") + b"short")
+        assert sched.wait_until(
+            lambda: net.metrics.value("tcp.frames_undecodable") == 4,
+            timeout=10.0,
+        )
+        assert received[0].payload == "ok"
+        sched.invoke(lambda: net.send("A", "B", "ping", 1))
+        assert sched.wait_until(lambda: len(received) == 2, timeout=10.0)
+    finally:
+        net.stop()
+    sched.check()
+
+
+def test_stop_under_retransmit_traffic_leaves_no_pending_task(sched):
+    net, received = start_mesh(sched)
+
+    def resend():
+        # What a retransmit timer does, re-armed every loop iteration
+        # so it is certain to fire between the awaits of the teardown.
+        if net._started:
+            net.send("A", "B", "ping", 0)
+            net.send("B", "A", "ping", 0)
+            sched.schedule(0.0, resend)
+
+    sched.schedule(0.0, resend)
+    assert sched.wait_until(lambda: len(received) >= 3, timeout=10.0)
+    net.stop()
+    leaked = sched.invoke(
+        lambda: [t for t in asyncio.all_tasks() if not t.done()]
+    )
+    assert leaked == []
+    assert net._senders == {} and net._queues == {}
+    assert net.metrics.value("tcp.frames_lost") > 0  # refused, and counted
+    sched.check()
+
+
 def test_fault_profile_requires_asyncio_runtime():
     with pytest.raises(DesignError, match="fault_profile"):
         FragmentedDatabase(["A", "B"], fault_profile={"drop": 0.1})
+
+
+# ---------------------------------------------------------------------------
+# Backend conformance: both backends satisfy the declared runtime seam
+
+
+class SimBackend:
+    def __init__(self):
+        self.sim = Simulator()
+
+    def network(self, topology):
+        return Network(self.sim, topology)
+
+    def on_runtime(self, fn):
+        return fn()
+
+    def settle(self, predicate):
+        self.sim.run()
+        return predicate()
+
+    def close(self):
+        pass
+
+
+class AsyncioBackend:
+    def __init__(self):
+        self.sim = AsyncioScheduler(tick=0.005)
+        self.sim.start()
+        self.net = None
+
+    def network(self, topology):
+        self.net = TcpMeshNetwork(self.sim, topology)
+        return self.net
+
+    def on_runtime(self, fn):
+        return self.sim.invoke(fn)
+
+    def settle(self, predicate):
+        return self.sim.wait_until(predicate, timeout=10.0)
+
+    def close(self):
+        if self.net is not None:
+            self.net.stop()
+        self.sim.stop()
+
+
+@pytest.fixture(params=[SimBackend, AsyncioBackend])
+def backend(request):
+    instance = request.param()
+    yield instance
+    instance.close()
+
+
+def test_scheduler_conformance(backend):
+    sim = backend.sim
+    assert isinstance(sim, SchedulerProtocol)
+    order = []
+    late = sim.schedule(6.0, lambda: order.append("late"))
+    sim.schedule_at(sim.now + 2.0, lambda: order.append("early"))
+    dropped = sim.schedule(1.0, lambda: order.append("dropped"))
+    assert isinstance(late, CancellableHandle)
+    dropped.cancel()
+    sim.run()
+    assert order == ["early", "late"]
+    assert sim.pending == 0 and sim.events_fired == 2
+    ticks = []
+    sim.schedule_recurring(
+        2.0, lambda: ticks.append(sim.now), until=sim.now + 5.0
+    )
+    sim.run()
+    assert len(ticks) == 2
+
+
+def test_transport_conformance(backend):
+    topology = Topology.full_mesh(["A", "B"])
+    received = []
+    net = backend.network(topology)
+    assert isinstance(net, TransportProtocol)
+    net.register("A", lambda m: None)
+    net.register("B", lambda m: received.append(m.payload))
+    if isinstance(net, TcpMeshNetwork):
+        net.start()
+
+    def burst(start):
+        for i in range(start, start + 5):
+            net.send("A", "B", "m", i)
+
+    backend.on_runtime(lambda: burst(0))
+    assert backend.settle(lambda: received == [0, 1, 2, 3, 4])
+
+    def cut_and_send():
+        topology.set_link_up("A", "B", False)
+        burst(5)
+
+    backend.on_runtime(cut_and_send)
+    assert backend.settle(lambda: net.held_count() == 5)
+    assert received == [0, 1, 2, 3, 4]  # held, not lost, not delivered
+
+    def heal():
+        topology.set_link_up("A", "B", True)
+        net.topology_changed()
+
+    backend.on_runtime(heal)
+    assert backend.settle(lambda: received == list(range(10)))
+    assert net.held_count() == 0
 
 
 # ---------------------------------------------------------------------------
