@@ -12,8 +12,8 @@ sweeps the loss rate:
   retransmissions and time, never outcomes);
 * retransmit overhead and convergence time grow with the loss rate —
   that curve is the price of implementing the paper's "all messages
-  are eventually delivered" assumption, and it lands in
-  ``BENCH_faults.json``;
+  are eventually delivered" assumption; it is seeded, so it must equal
+  the committed ``BENCH_faults.json``;
 * a full-chaos pass (loss + bursts + flaps + crashes + partitions)
   re-checks the table when connectivity is also under attack.
 
@@ -23,10 +23,7 @@ majority check sees a different quorum), so full-chaos runs assert the
 guarantee table, not bitwise convergence.
 """
 
-import json
-from pathlib import Path
-
-from conftest import run_once
+from conftest import committed_record, run_once
 
 from repro.analysis.nemesis import NemesisConfig, run_nemesis
 from repro.analysis.report import format_table
@@ -166,9 +163,7 @@ def test_e16_loss_sweep(benchmark, report):
             for row in rows
         ],
     }
-    path = Path(__file__).resolve().parents[1] / "BENCH_faults.json"
-    path.write_text(json.dumps(baseline, indent=2) + "\n")
-    report(f"fault sweep baseline -> {path.name}: {len(rows)} rows")
+    assert baseline == committed_record("BENCH_faults.json")
 
 
 def test_e16b_full_chaos(benchmark, report):

@@ -15,13 +15,11 @@ replica down from 30% of the horizon until after the traffic ends:
 The bounded-logs claims asserted here are the subsystem's contract:
 bytes shipped scale with the gap (or fragment size), not run history,
 and retained state under checkpointing is a fraction of the disarmed
-baseline.  Emits ``BENCH_recovery.json`` at the repo root.
+baseline.  The sweep is seeded, so it must equal the committed
+``BENCH_recovery.json``.
 """
 
-import json
-from pathlib import Path
-
-from conftest import run_once
+from conftest import committed_record, run_once
 
 from repro.analysis.recovery_bench import MODES, run_rejoin_comparison
 from repro.analysis.report import format_table
@@ -88,6 +86,4 @@ def test_e17_checkpoint_recovery(benchmark, report):
         },
         "rows": rows,
     }
-    path = Path(__file__).resolve().parents[1] / "BENCH_recovery.json"
-    path.write_text(json.dumps(baseline, indent=2) + "\n")
-    report(f"recovery baseline -> {path.name}: {len(rows)} rows")
+    assert baseline == committed_record("BENCH_recovery.json")

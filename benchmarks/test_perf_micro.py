@@ -7,11 +7,7 @@ transaction fan-out, serialization-graph construction, and a full
 system-scale end-to-end run.
 """
 
-import json
-import time
-from pathlib import Path
-
-from conftest import run_once
+from conftest import committed_record, run_once
 
 from repro import FragmentedDatabase, PipelineConfig, QtBatch
 from repro.cc import LocalScheduler, Read, Write
@@ -177,21 +173,15 @@ def _fanout(pipeline=None):
 def test_perf_pipeline_batched_fanout(benchmark, report):
     """Batched vs unbatched propagation of the same 200-update fan-out.
 
-    Emits ``BENCH_pipeline.json`` at the repo root: the replication
-    pipeline's perf baseline (message counts are deterministic; wall
-    times are informational).
+    The message counts are deterministic and must equal the committed
+    ``BENCH_pipeline.json`` (the replication pipeline's baseline).
     """
     config = PipelineConfig(batch_size=16, batch_window=1.0)
 
     def compare():
-        timings, dbs = {}, {}
-        for label, cfg in (("unbatched", None), ("batched", config)):
-            start = time.perf_counter()
-            dbs[label] = _fanout(cfg)
-            timings[label] = time.perf_counter() - start
-        return timings, dbs
+        return {"unbatched": _fanout(None), "batched": _fanout(config)}
 
-    timings, dbs = run_once(benchmark, compare)
+    dbs = run_once(benchmark, compare)
     qt_plain = dbs["unbatched"].network.messages_by_kind["qt"]
     qt_batched = dbs["batched"].network.messages_by_kind["qt"]
     assert qt_plain >= 2 * qt_batched
@@ -206,14 +196,9 @@ def test_perf_pipeline_batched_fanout(benchmark, report):
             label: db.network.messages_sent for label, db in dbs.items()
         },
         "qt_reduction": round(qt_plain / qt_batched, 2),
-        "wall_seconds": {
-            label: round(seconds, 4) for label, seconds in timings.items()
-        },
     }
-    path = Path(__file__).resolve().parents[1] / "BENCH_pipeline.json"
-    path.write_text(json.dumps(baseline, indent=2) + "\n")
     report(
-        f"pipeline fan-out baseline -> {path.name}: "
-        f"{qt_plain} -> {qt_batched} qt messages "
+        f"pipeline fan-out: {qt_plain} -> {qt_batched} qt messages "
         f"({baseline['qt_reduction']}x reduction)"
     )
+    assert baseline == committed_record("BENCH_pipeline.json")

@@ -52,6 +52,7 @@ from repro.core.rag import ReadAccessGraph
 from repro.core.system import AvailabilityStats, FragmentedDatabase
 from repro.core.transaction import (
     QuasiTransaction,
+    RefusalCause,
     RequestStatus,
     RequestTracker,
     TransactionSpec,
@@ -118,6 +119,7 @@ __all__ = [
     "ReadLocksStrategy",
     "RecoveryConfig",
     "ReproError",
+    "RefusalCause",
     "RequestStatus",
     "RequestTracker",
     "SimulationError",

@@ -44,8 +44,8 @@ order is causal order) and verifies:
   (split brain), and membership epochs on ``system.reconfig`` events
   strictly increase per fragment;
 * **availability** — the accountant's books balance against the trace:
-  every blocked submission (a ``txn.reject`` whose reason is a downed
-  agent home or a token in transit) falls inside an unavailability
+  every blocked submission (a ``txn.reject`` carrying a ``cause``: a
+  downed agent home or a token in transit) falls inside an unavailability
   window that the :class:`~repro.obs.availability.AvailabilityAccountant`
   derived from the same events — a reject with no accounted cause means
   either the submission gate fired spuriously or the accountant lost a
@@ -278,11 +278,8 @@ class _Auditor:
         check = self.report.checks["availability"]
         if not check.checked:
             return
-        reason = str(event.get("reason") or "")
-        blocked = (
-            reason.startswith("agent home") and reason.endswith("is down")
-        ) or (reason.startswith("token for") and "in transit" in reason)
-        if not blocked:
+        cause = event.get("cause")
+        if cause is None:
             return  # ordinary reject (validation, duplicate, ...)
         if not self.accountant.catalog_seen:
             check.checked = False
@@ -295,7 +292,7 @@ class _Auditor:
             for fragment in fragments
         ):
             check.add(
-                f"submission {event.get('txn')} blocked ({reason}) but the "
+                f"submission {event.get('txn')} blocked ({cause}) but the "
                 f"accountant has no open write-unavailability window for "
                 f"any fragment of agent {agent}",
                 event,

@@ -21,14 +21,14 @@ accounting layer against the measured ground truth:
   match exactly (and availability must not regress beyond tolerance,
   for partially regenerated records).
 
-Run it with ``python -m repro.cli availability-accounting-bench``.
+Run it with ``python -m repro experiment E21`` (see
+:mod:`repro.analysis.experiments`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 
 from repro.analysis.failover_bench import (
     DEFAULT_FACTOR,
@@ -38,6 +38,7 @@ from repro.analysis.failover_bench import (
     DEFAULT_UPDATES,
     run_mode,
 )
+from repro.analysis.report import format_table
 from repro.obs.availability import account_events
 from repro.obs.timeline import TimelineSampler
 
@@ -46,11 +47,8 @@ from repro.obs.timeline import TimelineSampler
 #: catch the kill/failover shape on a 200-tick horizon).
 SAMPLE_TICK = 5.0
 
-#: The committed benchmark record (repo root).
-BENCH_FILE = "BENCH_obs.json"
-
 #: Gate slack on supervised write-availability regression.
-DEFAULT_TOLERANCE = 0.05
+TOLERANCE = 0.05
 
 #: Kills fire at 60 + 15*i in the E20 workload (see failover_bench).
 KILL_BASE = 60.0
@@ -174,11 +172,38 @@ def run_availability_accounting_bench(
     }
 
 
-def check_gates(
-    result: dict,
-    committed: dict | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> tuple[bool, list[str]]:
+def table(result: dict) -> str:
+    """The E21 table plus the timeline-determinism verdict."""
+    rows = []
+    for tag in ("supervised", "unsupervised"):
+        mode = result[tag]
+        rows.append([
+            tag,
+            f"{mode['write_availability'] * 100:.2f}%",
+            f"{mode['read_availability'] * 100:.2f}%",
+            round(mode["worst_window"], 1),
+            mode["windows"],
+            mode["incidents"],
+            mode["mttd_mean"] if mode["mttd_mean"] is not None else "-",
+            mode["mttr_mean"] if mode["mttr_mean"] is not None else "-",
+            mode["timeline_records"],
+        ])
+    deterministic = (
+        result["rerun_timeline_hash"] == result["supervised"]["timeline_hash"]
+    )
+    return format_table(
+        ["mode", "write-avail", "read-avail", "worst-win", "windows",
+         "incidents", "mttd", "mttr", "tl-records"],
+        rows,
+        title=(
+            f"E21 — availability accounting: {result['nodes']} nodes, "
+            f"{result['fragments']} fragments, "
+            f"k={result['replication_factor']}, seed {result['seed']}"
+        ),
+    ) + f"\ntimeline deterministic across reruns: {deterministic}"
+
+
+def gates(result: dict, committed: dict | None = None) -> list[str]:
     """Verify the E21 claims on a fresh result (see module docstring)."""
     messages: list[str] = []
     on = result["supervised"]
@@ -243,35 +268,20 @@ def check_gates(
 
     if committed is not None:
         floor = committed["supervised"]["write_availability"] * (
-            1.0 - tolerance
+            1.0 - TOLERANCE
         )
         if on["write_availability"] < floor:
             messages.append(
                 f"supervised availability {on['write_availability']} "
                 f"regressed below {floor:.4f} (committed "
                 f"{committed['supervised']['write_availability']} - "
-                f"{tolerance:.0%})"
+                f"{TOLERANCE:.0%})"
             )
         if committed != result:
             messages.append(
                 "deterministic record diverges from the committed "
-                "BENCH_obs.json (regenerate with `python -m repro.cli "
-                "availability-accounting-bench --json BENCH_obs.json` "
-                "if the change is intentional)"
+                "BENCH_obs.json (regenerate with `python -m repro "
+                "experiment E21 --json BENCH_obs.json` if the change is "
+                "intentional)"
             )
-    return not messages, messages
-
-
-def load_committed(path: str = BENCH_FILE) -> dict | None:
-    """The committed benchmark record, or None if absent."""
-    if not os.path.exists(path):
-        return None
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def write_result(result: dict, path: str = BENCH_FILE) -> None:
-    """Write the benchmark record as stable, diff-friendly JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return messages

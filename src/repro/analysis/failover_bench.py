@@ -20,22 +20,21 @@ counts, unavailability windows, MTTR observations, audit verdicts,
 state hashes — so the committed ``BENCH_availability.json`` compares
 exactly in CI.  The gates additionally fail on an MTTR regression
 beyond 20% of the committed record or on any state-hash divergence.
-Run it directly with ``python -m repro.cli failover-bench``.
+Run it with ``python -m repro experiment E20`` (see
+:mod:`repro.analysis.experiments`).
 """
 
 from __future__ import annotations
 
-import json
-import os
-
 from repro.analysis.audit import audit_events
+from repro.analysis.report import format_table
 from repro.availability import AvailabilityConfig
 from repro.cc.ops import Write
 from repro.core.system import FragmentedDatabase
 from repro.core.transaction import RequestStatus
 from repro.sim.rng import SeededRng
 
-#: Default workload shape (the CI smoke passes smaller values).
+#: Full-run workload shape (tests pass smaller values).
 DEFAULT_NODES = 6
 DEFAULT_FRAGMENTS = 3
 DEFAULT_UPDATES = 36
@@ -49,11 +48,8 @@ DEFAULT_HORIZON = 200.0
 RESUBMIT_DELAY = 7.5
 MAX_ATTEMPTS = 20
 
-#: The committed benchmark record (repo root).
-BENCH_FILE = "BENCH_availability.json"
-
 #: Gate slack on MTTR regression against the committed record.
-DEFAULT_TOLERANCE = 0.20
+TOLERANCE = 0.20
 
 
 def run_mode(
@@ -252,11 +248,35 @@ def run_failover_bench(
     }
 
 
-def check_gates(
-    result: dict,
-    committed: dict | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> tuple[bool, list[str]]:
+def table(result: dict) -> str:
+    """The E20 table: supervised against unsupervised."""
+    rows = []
+    for tag in ("supervised", "unsupervised"):
+        mode = result[tag]
+        rows.append([
+            tag,
+            f"{mode['committed']}/{mode['submitted']}",
+            mode["blocked"],
+            mode["attempts"],
+            mode["failovers"],
+            mode["demotions"],
+            round(mode["max_unavailability"], 1),
+            round(mode["mttr_max"], 1),
+            mode["audit_ok"],
+        ])
+    return format_table(
+        ["mode", "committed", "blocked", "attempts", "failovers",
+         "demotions", "max-unavail", "mttr-max", "audit"],
+        rows,
+        title=(
+            f"E20 — availability failover: {result['nodes']} nodes, "
+            f"{result['fragments']} fragments, "
+            f"k={result['replication_factor']}, seed {result['seed']}"
+        ),
+    )
+
+
+def gates(result: dict, committed: dict | None = None) -> list[str]:
     """Verify the E20 claims on a fresh result.
 
     Intrinsic gates (no committed record needed):
@@ -273,7 +293,7 @@ def check_gates(
 
     Against a committed record: state hashes must match exactly (the
     run is deterministic) and MTTR must not regress by more than
-    ``tolerance`` (default 20%).
+    ``TOLERANCE``.
     """
     messages: list[str] = []
     on = result["supervised"]
@@ -315,33 +335,18 @@ def check_gates(
                     f"{tag}: state hash diverged from the committed "
                     "BENCH_availability.json"
                 )
-        ceiling = committed["supervised"]["mttr_max"] * (1.0 + tolerance)
+        ceiling = committed["supervised"]["mttr_max"] * (1.0 + TOLERANCE)
         if on["mttr_max"] > ceiling:
             messages.append(
                 f"supervised: MTTR max {on['mttr_max']} regressed beyond "
                 f"{ceiling:.2f} (committed {committed['supervised']['mttr_max']}"
-                f" + {tolerance:.0%})"
+                f" + {TOLERANCE:.0%})"
             )
         if committed != result:
             messages.append(
                 "deterministic record diverges from the committed "
                 "BENCH_availability.json (regenerate with `python -m "
-                "repro.cli failover-bench --json BENCH_availability.json` "
+                "repro experiment E20 --json BENCH_availability.json` "
                 "if the change is intentional)"
             )
-    return not messages, messages
-
-
-def load_committed(path: str = BENCH_FILE) -> dict | None:
-    """The committed benchmark record, or None if absent."""
-    if not os.path.exists(path):
-        return None
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def write_result(result: dict, path: str = BENCH_FILE) -> None:
-    """Write the benchmark record as stable, diff-friendly JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return messages

@@ -22,31 +22,27 @@ counts, storage ratios, audit verdicts; no wall-clock timings — so the
 committed ``BENCH_partial.json`` can be compared *exactly* by CI, and
 the scaling gate (multicast volume at factor ``k`` stays within 10% of
 ``k/N`` times the full-broadcast volume) holds on any machine.  Run it
-directly with ``python -m repro.cli partial-bench``.
+with ``python -m repro experiment E19`` (see
+:mod:`repro.analysis.experiments`).
 """
 
 from __future__ import annotations
 
-import json
-import os
-
 from repro.analysis.audit import audit_events
+from repro.analysis.report import format_table
 from repro.cc.ops import Write
 from repro.core.system import FragmentedDatabase
 from repro.core.transaction import scripted_body
 from repro.sim.rng import SeededRng
 
-#: Default workload shape (the reduced CI smoke passes smaller values).
+#: Full-run workload shape (tests pass smaller values).
 DEFAULT_NODES = 12
 DEFAULT_FRAGMENTS = 8
 DEFAULT_UPDATES = 160
 DEFAULT_FACTORS = (2, 3, 5)
 
-#: The committed benchmark record (repo root).
-BENCH_FILE = "BENCH_partial.json"
-
 #: Gate slack on the multicast-vs-broadcast volume ratio.
-DEFAULT_TOLERANCE = 0.10
+TOLERANCE = 0.10
 
 
 def run_point(
@@ -168,11 +164,38 @@ def run_partial_bench(
     }
 
 
-def check_gates(
-    result: dict,
-    committed: dict | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> tuple[bool, list[str]]:
+def table(result: dict) -> str:
+    """The E19 sweep table: one row per factor, the baseline last."""
+    baseline = result["baseline"]
+    rows = []
+    for point in result["points"] + [baseline]:
+        ratio = (
+            point["qt_messages"] / baseline["qt_messages"]
+            if baseline["qt_messages"]
+            else 0.0
+        )
+        rows.append([
+            point["k"],
+            point["qt_messages"],
+            f"{ratio:.2f}",
+            f"{point['k'] / result['nodes']:.2f}",
+            point["storage_ratio"],
+            f"{point['quorum_served']}/{point['quorum_reads']}",
+            point["mutually_consistent"],
+            point["audit_ok"],
+        ])
+    return format_table(
+        ["k", "qt msgs", "vs bcast", "k/N", "storage", "quorum",
+         "MC", "audit"],
+        rows,
+        title=(
+            f"E19 — partial replication: {result['nodes']} nodes, "
+            f"{result['fragments']} fragments, {result['updates']} updates"
+        ),
+    )
+
+
+def gates(result: dict, committed: dict | None = None) -> list[str]:
     """Verify the E19 claims on a fresh result (and, optionally, that
     the deterministic record matches the committed one exactly).
 
@@ -180,10 +203,10 @@ def check_gates(
     baseline:
 
     * multicast volume: ``qt_messages(k) <= (k/N) * qt_messages(N)``
-      within ``tolerance`` — message volume scales with the replica-set
+      within ``TOLERANCE`` — message volume scales with the replica-set
       size, not the cluster size;
     * storage: populated fraction of the object space within
-      ``tolerance`` of ``k/N``;
+      ``TOLERANCE`` of ``k/N``;
     * every quorum read served; mutual consistency holds; the lineage
       audit (including the replication-discipline check) passes.
     """
@@ -195,17 +218,17 @@ def check_gates(
     for point in result["points"]:
         k = point["k"]
         tag = f"k={k}"
-        ceiling = (k / nodes) * baseline["qt_messages"] * (1.0 + tolerance)
+        ceiling = (k / nodes) * baseline["qt_messages"] * (1.0 + TOLERANCE)
         if point["qt_messages"] > ceiling:
             messages.append(
                 f"{tag}: qt volume {point['qt_messages']} exceeds "
                 f"(k/N)*broadcast ceiling {ceiling:.0f}"
             )
         expected = point["expected_storage_ratio"]
-        if abs(point["storage_ratio"] - expected) > tolerance * expected:
+        if abs(point["storage_ratio"] - expected) > TOLERANCE * expected:
             messages.append(
                 f"{tag}: storage ratio {point['storage_ratio']} not within "
-                f"{tolerance:.0%} of k/N = {expected}"
+                f"{TOLERANCE:.0%} of k/N = {expected}"
             )
         if point["quorum_served"] != point["quorum_reads"]:
             messages.append(
@@ -223,23 +246,8 @@ def check_gates(
         if committed != result:
             messages.append(
                 "deterministic record diverges from the committed "
-                "BENCH_partial.json (regenerate with "
-                "`python -m repro.cli partial-bench --json BENCH_partial.json`"
-                " if the change is intentional)"
+                "BENCH_partial.json (regenerate with `python -m repro "
+                "experiment E19 --json BENCH_partial.json` if the change "
+                "is intentional)"
             )
-    return not messages, messages
-
-
-def load_committed(path: str = BENCH_FILE) -> dict | None:
-    """The committed benchmark record, or None if absent."""
-    if not os.path.exists(path):
-        return None
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def write_result(result: dict, path: str = BENCH_FILE) -> None:
-    """Write the benchmark record as stable, diff-friendly JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return messages

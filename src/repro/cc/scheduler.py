@@ -197,6 +197,13 @@ class LocalScheduler:
             except TransactionAborted as abort_exc:
                 self._abort(handle, abort_exc.reason)
                 return
+            except Exception as exc:
+                # A body is client code.  Letting its bug escape would
+                # leave the handle in ``active`` holding its locks, and
+                # every later transaction on those objects would wait
+                # forever; abort it with the failure as the reason.
+                self._abort(handle, f"{type(exc).__name__}: {exc}")
+                return
             outcome = self._perform(handle, op)
             if outcome is _BLOCKED:
                 return

@@ -30,6 +30,7 @@ from repro.core.rag import ReadAccessGraph
 from repro.core.token import Token
 from repro.core.transaction import (
     QuasiTransaction,
+    RefusalCause,
     RequestStatus,
     RequestTracker,
     TransactionSpec,
@@ -42,6 +43,7 @@ __all__ = [
     "FragmentCatalog",
     "QuasiTransaction",
     "ReadAccessGraph",
+    "RefusalCause",
     "RequestStatus",
     "RequestTracker",
     "Token",

@@ -107,10 +107,10 @@ class CorrectiveMoveProtocol(MovementProtocol):
             for fragment in fragments:
                 token = agent.token_for(fragment)
                 new_epoch = token.payload.get("epoch", 0) + 1
-                installed_upto = destination.next_expected[fragment]
+                installed_upto = destination.streams.next_expected[fragment]
                 carried = [
-                    destination.qt_archive[fragment][seq]
-                    for seq in sorted(destination.qt_archive[fragment])
+                    destination.streams.archive[fragment][seq]
+                    for seq in sorted(destination.streams.archive[fragment])
                     if seq < installed_upto
                 ]
                 self.m0_broadcasts += 1
@@ -155,7 +155,7 @@ class CorrectiveMoveProtocol(MovementProtocol):
     ) -> None:
         fragment = body["fragment"]
         epoch = body["epoch"]
-        if epoch <= node.epoch[fragment]:
+        if epoch <= node.streams.epoch[fragment]:
             return  # stale announcement
         # Catch up from the M0 contents (rule B1).  Install-dedup keys on
         # source txn, but a checkpointed replica no longer *names* every
@@ -218,7 +218,7 @@ class CorrectiveMoveProtocol(MovementProtocol):
         token = agent.token_for(quasi.fragment)
         missing = self._missing(quasi, token.payload.get("epoch", 0))
         if missing is None:
-            missing = quasi.source_txn not in node.installed_sources
+            missing = quasi.source_txn not in node.streams.installed_sources
         if not missing:
             return
         if token.in_transit:

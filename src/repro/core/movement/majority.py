@@ -211,7 +211,7 @@ class MajorityCommitProtocol(MovementProtocol):
         # so keep resyncing until the node has truly caught up (the held
         # messages arrive once the partition heals).
         behind = any(
-            node.next_expected[fragment]
+            node.streams.next_expected[fragment]
             < agent.token_for(fragment).payload.get("next_seq", 0)
             for fragment in resync.fragments
         )
@@ -227,7 +227,7 @@ class MajorityCommitProtocol(MovementProtocol):
         for fragment in resync.fragments:
             token = agent.token_for(fragment)
             token.payload["next_seq"] = max(
-                node.next_expected[fragment],
+                node.streams.next_expected[fragment],
                 max(resync.gathered[fragment], default=-1) + 1,
                 token.payload.get("next_seq", 0),
             )
@@ -279,7 +279,7 @@ class MajorityCommitProtocol(MovementProtocol):
                 "archives": {
                     fragment: {
                         **self._prepared[node.name][fragment],
-                        **node.qt_archive[fragment],
+                        **node.streams.archive[fragment],
                     }
                     for fragment in body["fragments"]
                 },

@@ -53,7 +53,9 @@ class InstantMoveProtocol(MovementProtocol):
                 # The new home resumes from what it happens to have seen:
                 # if it missed T1, its next transaction collides with T1's
                 # sequence number.  That is the bug, on purpose.
-                token.payload["next_seq"] = destination.next_expected[fragment]
+                token.payload["next_seq"] = (
+                    destination.streams.next_expected[fragment]
+                )
             if on_done is not None:
                 on_done()
 

@@ -68,7 +68,7 @@ class MoveWithSeqnoProtocol(MovementProtocol):
         wait = self._waits.get(fragment)
         if wait is None or wait.node != node.name:
             return True
-        if node.next_expected[fragment] >= wait.required_seq:
+        if node.streams.next_expected[fragment] >= wait.required_seq:
             self._release(system, fragment)
             return True
         wait.queued.append((spec, tracker))
@@ -85,7 +85,7 @@ class MoveWithSeqnoProtocol(MovementProtocol):
         wait = self._waits.get(quasi.fragment)
         if wait is None or wait.node != node.name:
             return
-        if node.next_expected[quasi.fragment] >= wait.required_seq:
+        if node.streams.next_expected[quasi.fragment] >= wait.required_seq:
             self._release(node.system, quasi.fragment)
 
     # -- moving -------------------------------------------------------------
@@ -106,7 +106,7 @@ class MoveWithSeqnoProtocol(MovementProtocol):
             for fragment in fragments:
                 token = agent.token_for(fragment)
                 required = token.payload.get("next_seq", 0)
-                if destination.next_expected[fragment] < required:
+                if destination.streams.next_expected[fragment] < required:
                     wait = _Wait(to_node, required)
                     wait.started_at = system.sim.now
                     self._waits[fragment] = wait

@@ -92,33 +92,6 @@ class DatabaseNode:
         self._c_qt_installed = self.metrics.counter("qt.installed")
         self._c_qt_skipped = self.metrics.counter("qt.skipped")
 
-    # -- stream-log views (delegation kept for API compatibility) -----------
-
-    @property
-    def next_expected(self) -> dict[str, int]:
-        """Fragment -> next expected stream sequence number."""
-        return self.streams.next_expected
-
-    @property
-    def epoch(self) -> dict[str, int]:
-        """Fragment -> currently active epoch."""
-        return self.streams.epoch
-
-    @property
-    def qt_buffer(self) -> dict[str, dict[tuple[int, int], QuasiTransaction]]:
-        """Fragment -> out-of-order admission buffer."""
-        return self.streams.buffer
-
-    @property
-    def qt_archive(self) -> dict[str, dict[int, QuasiTransaction]]:
-        """Fragment -> archive of every quasi-transaction seen."""
-        return self.streams.archive
-
-    @property
-    def installed_sources(self) -> set[str]:
-        """Source transaction ids already installed at this replica."""
-        return self.streams.installed_sources
-
     # -- network plumbing ---------------------------------------------------
 
     def handle_network(self, message: Message) -> None:

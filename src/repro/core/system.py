@@ -51,6 +51,7 @@ from repro.core.rag import ReadAccessGraph
 from repro.core.token import Token
 from repro.core.transaction import (
     QuasiTransaction,
+    RefusalCause,
     RequestStatus,
     RequestTracker,
     TransactionSpec,
@@ -364,6 +365,10 @@ class FragmentedDatabase:
         if self.tracer.enabled:
             event_type = self._trace_by_status.get(tracker.status)
             if event_type is not None:
+                cause = (
+                    {} if tracker.cause is None
+                    else {"cause": tracker.cause.value}
+                )
                 self.tracer.emit(
                     event_type,
                     txn=tracker.spec.txn_id,
@@ -371,6 +376,7 @@ class FragmentedDatabase:
                     node=tracker.node,
                     latency=tracker.latency,
                     reason=tracker.reason or None,
+                    **cause,
                 )
             if tracker.spec.update:
                 self.tracer.emit(
@@ -627,11 +633,9 @@ class FragmentedDatabase:
         node = self.nodes[agent.home_node]
         token = agent.token_for(fragment)
         if token.in_transit:
-            self.recorder.record_rejection(spec.txn_id, "token in transit")
-            tracker.finish(
-                RequestStatus.REJECTED,
-                self.sim.now,
-                reason=f"token for {fragment!r} is in transit",
+            self._refuse(
+                spec, tracker, RefusalCause.TOKEN_IN_TRANSIT,
+                f"token for {fragment!r} is in transit",
             )
             return
         if node.down and self.availability.enabled:
@@ -639,12 +643,10 @@ class FragmentedDatabase:
             # re-homes the agent), so reject loudly instead of letting
             # the request hang — the client can resubmit after the MTTR
             # window.  Without a supervisor, behaviour is unchanged.
-            self.recorder.record_rejection(spec.txn_id, "agent home down")
             self.metrics.inc("avail.updates_blocked")
-            tracker.finish(
-                RequestStatus.REJECTED,
-                self.sim.now,
-                reason=f"agent home {node.name!r} is down",
+            self._refuse(
+                spec, tracker, RefusalCause.HOME_DOWN,
+                f"agent home {node.name!r} is down",
             )
             return
         if self.pipeline.throttle_update(node, spec, tracker, fragment):
@@ -652,6 +654,19 @@ class FragmentedDatabase:
         if not self.movement.before_update(self, node, spec, tracker, fragment):
             return
         self.strategy.begin_update(self, node, spec, tracker, fragment)
+
+    def _refuse(
+        self,
+        spec: TransactionSpec,
+        tracker: RequestTracker,
+        cause: RefusalCause,
+        reason: str,
+    ) -> None:
+        """Reject at the gate; ``cause`` is the decision, ``reason`` text."""
+        self.recorder.record_rejection(spec.txn_id, cause.value)
+        tracker.finish(
+            RequestStatus.REJECTED, self.sim.now, reason=reason, cause=cause
+        )
 
     def submit_update(
         self,

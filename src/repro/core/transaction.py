@@ -62,6 +62,19 @@ class RequestStatus(enum.Enum):
     TIMED_OUT = "timed_out"  # gave up waiting (e.g. remote locks)
 
 
+class RefusalCause(enum.Enum):
+    """Why the submission gate refused an update.
+
+    Both conditions heal on their own (failover re-homes the agent, the
+    token lands), so clients may retry and the auditor expects an open
+    write-unavailability window.  ``RequestTracker.reason`` is display
+    text; this is what code branches on.
+    """
+
+    HOME_DOWN = "home_down"
+    TOKEN_IN_TRANSIT = "token_in_transit"
+
+
 @dataclass
 class RequestTracker:
     """Lifecycle record of one submitted transaction."""
@@ -72,6 +85,8 @@ class RequestTracker:
     status: RequestStatus = RequestStatus.PENDING
     finish_time: float | None = None
     reason: str = ""
+    #: Set by the submission gate on a transient refusal, else None.
+    cause: RefusalCause | None = None
     result: Any = None
     on_done: Callable[["RequestTracker"], None] | None = None
     #: System-installed hook fired on the terminal transition, before
@@ -85,6 +100,7 @@ class RequestTracker:
         time: float,
         reason: str = "",
         result: Any = None,
+        cause: RefusalCause | None = None,
     ) -> None:
         """Transition to a terminal status (exactly once)."""
         if self.status is not RequestStatus.PENDING:
@@ -92,6 +108,7 @@ class RequestTracker:
         self.status = status
         self.finish_time = time
         self.reason = reason
+        self.cause = cause
         self.result = result
         if self.observer is not None:
             self.observer(self)

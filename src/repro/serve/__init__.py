@@ -19,8 +19,8 @@ Endpoints::
     GET  /healthz    liveness probe
 
 Writes that arrive mid-failover are **queued and retried** with a
-bounded admission semaphore: a rejection whose reason is transient
-("agent home ... is down", "token ... in transit") is retried with a
+bounded admission semaphore: a rejection with a transient cause
+(``RefusalCause``: agent home down, token in transit) is retried with a
 fresh transaction until the supervisor completes the failover or the
 deadline passes; terminal rejections surface as 409 immediately.
 """

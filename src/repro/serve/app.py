@@ -17,7 +17,7 @@ asyncio runtime does at construction).
 Routing: the client names an **object**; the front door resolves the
 owning fragment and the controlling agent's *current* home node via
 the catalog at every attempt.  During a failover window the update
-gate rejects with a transient reason — the front door queues the
+gate rejects with a transient cause — the front door queues the
 request (bounded) and retries with a fresh transaction until the
 supervisor re-homes the agent, then the write commits at the new home.
 The client sees one slow 200, never a topology detail.
@@ -26,6 +26,7 @@ The client sees one slow 200, never a topology detail.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -36,12 +37,6 @@ from repro.core.system import FragmentedDatabase
 from repro.core.transaction import RequestStatus, RequestTracker
 from repro.errors import DesignError, InitiationError
 from repro.obs.dashboard import build_dashboard_data, render_html
-
-#: Rejection reasons the front door treats as transient: the request
-#: is retried because the condition heals on its own (failover
-#: completes, the control token lands).  Matched as substrings of
-#: ``RequestTracker.reason``.
-TRANSIENT_REASONS = ("is down", "in transit")
 
 #: Default bound on concurrently queued-or-in-flight HTTP writes; the
 #: 65th concurrent write gets an immediate 503 instead of a queue slot
@@ -143,6 +138,11 @@ class FrontDoor:
             return 400, {"error": "missing or non-string 'object'"}
         if "value" not in payload and "delta" not in payload:
             return 400, {"error": "provide 'value' (set) or 'delta' (add)"}
+        if "value" not in payload and not _finite_number(payload["delta"]):
+            return 400, {"error": "'delta' must be a finite number"}
+        timeout = payload.get("deadline", self.deadline)
+        if not _finite_number(timeout) or timeout > threading.TIMEOUT_MAX:
+            return 400, {"error": "'deadline' must be a number of seconds"}
         fragment = self.db.catalog.fragment_of(obj, strict=False)
         if fragment is None:
             return 404, {"error": f"no fragment owns object {obj!r}"}
@@ -151,16 +151,16 @@ class FrontDoor:
             self._m.inc("http.updates_overload")
             return 503, {"error": "write queue full, retry later"}
         try:
-            return self._submit_write_admitted(payload, obj, fragment)
+            return self._submit_write_admitted(
+                payload, obj, fragment, timeout
+            )
         finally:
             self._admission.release()
 
     def _submit_write_admitted(
-        self, payload: dict[str, Any], obj: str, fragment: str
+        self, payload: dict[str, Any], obj: str, fragment: str, timeout: float
     ) -> tuple[int, dict]:
-        deadline = time.monotonic() + float(
-            payload.get("deadline", self.deadline)
-        )
+        deadline = time.monotonic() + timeout
         attempts = 0
         tracker: RequestTracker | None = None
         while True:
@@ -197,9 +197,9 @@ class FrontDoor:
                     "node": self.db.agent_of(fragment).home_node,
                     "attempts": attempts,
                 }
-            transient = any(
-                marker in tracker.reason for marker in TRANSIENT_REASONS
-            )
+            # Every RefusalCause heals on its own (failover completes,
+            # the control token lands), so the request is retried.
+            transient = tracker.cause is not None
             if not transient or time.monotonic() >= deadline:
                 code = 409 if not transient else 504
                 self._m.inc(
@@ -326,6 +326,16 @@ class FrontDoor:
         return render_html(
             self.dashboard_data(), title="repro serve", live=True
         )
+
+
+def _finite_number(value: Any) -> bool:
+    """True for a JSON number a client may send as delta or deadline."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _write_body(payload: dict[str, Any], obj: str):

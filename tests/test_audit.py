@@ -374,13 +374,16 @@ class TestAvailabilityCheck:
             "nodes": ["A", "B", "C"],
         }
 
-    def blocked_reject(self, t, reason="agent home 'A' is down"):
+    def blocked_reject(
+        self, t, reason="agent home 'A' is down", cause="home_down"
+    ):
         return {
             "type": taxonomy.TXN_REJECT,
             "t": t,
             "txn": "T1",
             "agent": "ag",
             "reason": reason,
+            "cause": cause,
         }
 
     def test_blocked_reject_inside_window_passes(self):
@@ -403,7 +406,9 @@ class TestAvailabilityCheck:
                 {"type": taxonomy.TOKEN_MOVE_DEPART, "t": 5.0, "agent": "ag",
                  "src": "A", "dst": "B", "fragments": ["F"]},
                 self.blocked_reject(
-                    6.0, reason="token for 'F' is in transit"
+                    6.0,
+                    reason="token for 'F' is in transit",
+                    cause="token_in_transit",
                 ),
                 {"type": taxonomy.TOKEN_MOVE_ARRIVE, "t": 8.0, "agent": "ag",
                  "src": "A", "dst": "B", "fragments": ["F"]},
@@ -426,9 +431,23 @@ class TestAvailabilityCheck:
         report = audit_events(
             [
                 self.catalog_event(),
-                self.blocked_reject(12.0, reason="duplicate txn id"),
+                self.blocked_reject(
+                    12.0, reason="duplicate txn id", cause=None
+                ),
             ]
         )
+        assert report.checks["availability"].violations == []
+
+    def test_reason_text_is_display_only(self):
+        """The auditor branches on ``cause``; rewording ``reason`` (or
+        making it look like an outage) changes nothing."""
+        reworded = self.blocked_reject(12.0, reason="try again shortly")
+        report = audit_events([self.catalog_event(), reworded])
+        assert len(report.checks["availability"].violations) == 1
+        lookalike = self.blocked_reject(
+            12.0, reason="agent home 'A' is down", cause=None
+        )
+        report = audit_events([self.catalog_event(), lookalike])
         assert report.checks["availability"].violations == []
 
     def test_no_catalog_disables_the_check(self):

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestCli:
@@ -64,22 +68,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "trace summary" in out
         assert "message.send" in out
-
-    def test_partial_bench_reduced_run(self, capsys, tmp_path):
-        path = str(tmp_path / "bench.json")
-        assert main([
-            "partial-bench", "--nodes", "6", "--fragments", "3",
-            "--updates", "30", "--factors", "2", "3", "--json", path,
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "E19" in out
-        assert "all gates OK" in out
-        # The record it just wrote gates cleanly (and, being fully
-        # deterministic, matches an immediate re-run exactly).
-        assert main([
-            "partial-bench", "--nodes", "6", "--fragments", "3",
-            "--updates", "30", "--factors", "2", "3", "--check", path,
-        ]) == 0
 
     def test_chaos_with_partial_replication(self, capsys):
         assert main([
@@ -162,22 +150,46 @@ class TestObservabilityCommands:
         assert "worst-win" in out
         assert "unavailability by cause:" in out
 
-    def test_availability_accounting_bench_reduced_run(
-        self, capsys, tmp_path
-    ):
-        path = str(tmp_path / "bench.json")
-        assert main([
-            "availability-accounting-bench", "--nodes", "4",
-            "--fragments", "2", "--updates", "12", "--factor", "3",
-            "--json", path,
-        ]) == 0
+
+class TestExperimentCommand:
+    """`repro experiment`: the one door to the gated experiments."""
+
+    def test_check_against_the_committed_record(self, capsys, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        assert main(["experiment", "E19", "--check"]) == 0
         out = capsys.readouterr().out
-        assert "E21" in out
-        assert "timeline deterministic across reruns: True" in out
-        assert "all gates OK" in out
-        # The record it just wrote gates cleanly against itself.
-        assert main([
-            "availability-accounting-bench", "--nodes", "4",
-            "--fragments", "2", "--updates", "12", "--factor", "3",
-            "--check", path,
-        ]) == 0
+        assert "E19" in out
+        assert "all gates OK against BENCH_partial.json" in out
+
+    def test_check_on_a_missing_record_exits_1(self, capsys, tmp_path):
+        missing = str(tmp_path / "absent.json")
+        assert main(["experiment", "E19", "--check", missing]) == 1
+        err = capsys.readouterr().err
+        assert f"no committed benchmark at {missing}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["experiment", "E22"]]
+        + [
+            [f"{name}-bench"]  # the five subcommands `experiment` replaced
+            for name in ("scale", "partial", "failover",
+                         "availability-accounting", "serve")
+        ],
+    )
+    def test_unknown_key_and_deleted_subcommands_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_one_positional_two_options(self):
+        subparsers = build_parser()._subparsers._group_actions[0]
+        assert len(subparsers.choices) == 12
+        actions = [
+            action for action in subparsers.choices["experiment"]._actions
+            if action.dest != "help"
+        ]
+        assert [a.dest for a in actions if not a.option_strings] == ["key"]
+        assert sorted(
+            flag for a in actions for flag in a.option_strings
+        ) == ["--check", "--json"]

@@ -105,6 +105,29 @@ class TestBasicExecution:
         assert outcomes == [TxnOutcome.ABORTED]
         assert store.read("x") == 0  # buffered write discarded
 
+    def test_body_bug_aborts_and_releases_locks(self):
+        """A body that raises anything else (here: str + int) must not
+        escape with its locks held — the next transaction on the same
+        object would wait forever."""
+        sim, store, sched = make_scheduler({"x": "text"})
+        done = []
+
+        def buggy(_ctx):
+            value = yield Read("x")
+            yield Write("x", value + 1)
+
+        sched.submit("T1", buggy, on_done=lambda h, o, e: done.append((o, e)))
+        sim.run()
+        (outcome, error), = done
+        assert outcome is TxnOutcome.ABORTED
+        assert error.reason.startswith("TypeError: ")
+        assert not sched.active
+        assert sched.locks.holders_of("x") == {}
+        sched.submit("T2", lambda _ctx: (yield Write("x", "next")))
+        sim.run()
+        assert store.read("x") == "next"
+        assert not sched.active
+
     def test_duplicate_txn_id_rejected(self):
         sim, store, sched = make_scheduler(action_delay=1.0)
         sched.submit("T1", transfer("x", "y", 1))

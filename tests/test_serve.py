@@ -15,6 +15,7 @@ from repro.analysis.audit import audit_events
 from repro.availability import AvailabilityConfig
 from repro.core.system import FragmentedDatabase
 from repro.core.transaction import (
+    RefusalCause,
     RequestStatus,
     RequestTracker,
     TransactionSpec,
@@ -109,6 +110,76 @@ def test_client_errors(served):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(door.url + "/nope", timeout=10)
     assert excinfo.value.code == 404
+
+
+def assert_x_not_wedged(db, door):
+    """The next write and read of ``x`` answer, and nothing is left
+    holding a lock at x's home."""
+    code, body = post(door.url, "/updates", {"object": "x", "value": 7}, 10)
+    assert code == 200, body
+    code, body = post(door.url, "/reads", {"object": "x"}, 10)
+    assert code == 200 and body["value"] == 7, body
+    scheduler = db.nodes["A"].scheduler
+    assert not scheduler.active
+    assert scheduler.locks.holders_of("x") == {}
+    assert scheduler.locks.queued_for("x") == []
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"delta": "one"},
+        {"delta": None},
+        {"delta": True},
+        {"delta": 1, "deadline": "soon"},
+        {"delta": 1, "deadline": None},
+        {"value": 1, "deadline": float("inf")},
+        {"value": 1, "deadline": 1e300},
+        {"delta": 10**400},
+    ],
+)
+def test_malformed_write_is_refused_with_400(served, extra):
+    db, door = served
+    code, body = post(door.url, "/updates", {"object": "x", **extra}, 10)
+    assert code == 400 and "error" in body, body
+    assert_x_not_wedged(db, door)
+
+
+def test_failing_body_aborts_instead_of_wedging_the_object(served):
+    db, door = served
+    post(door.url, "/updates", {"object": "x", "value": "text"}, 10)
+    # A well-formed delta against a non-numeric value: the body raises
+    # inside the scheduler, which must abort it, not leak its S lock.
+    code, body = post(door.url, "/updates", {"object": "x", "delta": 1}, 10)
+    assert code == 409 and body["status"] == "aborted", body
+    assert body["reason"].startswith("TypeError: ")
+    assert_x_not_wedged(db, door)
+
+
+def test_retry_follows_the_cause_not_the_reason_text(served):
+    db, door = served
+    real_submit = db.submit_update
+    refusals = []
+
+    def refuse_once(agent, body, on_done=None, **kwargs):
+        if refusals:
+            return real_submit(agent, body, on_done=on_done, **kwargs)
+        spec = TransactionSpec(txn_id="TREF", agent=agent, body=body)
+        tracker = RequestTracker(spec, db.sim.now, "A", on_done=on_done)
+        refusals.append(tracker)
+        tracker.finish(
+            RequestStatus.REJECTED,
+            db.sim.now,
+            reason="try again shortly",
+            cause=RefusalCause.HOME_DOWN,
+        )
+        return tracker
+
+    db.submit_update = refuse_once
+    code, body = post(door.url, "/updates", {"object": "x", "value": 1})
+    assert code == 200, body
+    assert body["attempts"] == 2
+    assert db.metrics.value("http.updates_retried") == 1
 
 
 def test_terminal_rejection_maps_to_409(served):
@@ -211,3 +282,16 @@ def test_overload_returns_503():
         door.stop()
         db.stop_runtime()
     db.sim.check()
+
+
+def test_live_chaos_driver_rides_a_failover():
+    """`repro chaos --backend=asyncio` without frame loss: the kill is
+    carried by a supervisor failover, every client write commits and
+    the audit over the live trace is clean."""
+    from repro.analysis.live import run_live_chaos
+
+    result = run_live_chaos(seed=0, drop=0.0)
+    assert result["committed"] == result["submitted"] == 40, result
+    assert result["failovers"] >= 1
+    assert result["audit_ok"], result
+    assert result["respects_guarantees"]
