@@ -21,6 +21,12 @@ Hash matching is only claimed for the loss/dup/jitter sweep:
 connectivity episodes legitimately change protocol *decisions* (a
 majority check sees a different quorum), so full-chaos runs assert the
 guarantee table, not bitwise convergence.
+
+``none`` and ``corrective`` promise no fragmentwise serializability,
+so a delayed quasi-transaction may legally change their outcome; the
+runs where it does are named (``DIVERGENT_RUNS``), not counted, and
+EXPERIMENTS.md says for each which install moved and why §4.4 allows
+it.
 """
 
 from conftest import committed_record, run_once
@@ -33,6 +39,18 @@ SEEDS = range(6)
 LOSS_RATES = (0.05, 0.1, 0.2)
 RELIABLE_PROTOCOLS = ("majority", "with-data", "with-seqno")
 CHAOS_SEEDS = range(4)
+#: The lossy runs whose final state differs from the fault-free run of
+#: the same seed.  Each is a move racing a retransmitted
+#: quasi-transaction (the §4.4 missing-transactions problem); all are
+#: mutually consistent and pass the audit.
+DIVERGENT_RUNS = [
+    # T0 reaches the new home N2 after it committed T1 (Fig. 4.4.1).
+    ("none", 0.2, 2),
+    # T7 reaches the new home N0 after the token: repackaged (A2).
+    ("corrective", 0.2, 0),
+    # T2 reaches the new home N3 after T14 overwrote it: stripped (A2).
+    ("corrective", 0.2, 4),
+]
 
 BASELINE = NemesisConfig(
     loss_rate=0.0, dup_rate=0.0, jitter=0.0, n_partitions=0
@@ -56,7 +74,7 @@ def _lossy(loss_rate: float) -> NemesisConfig:
 
 def sweep():
     rows = []
-    hash_mismatches = []
+    divergent = []
     violations = []
     for protocol in PROTOCOLS:
         baselines = {
@@ -89,11 +107,11 @@ def sweep():
             for r in results:
                 if not r.respects_guarantees():
                     violations.append((protocol, loss, r.seed))
-                if (
-                    protocol in RELIABLE_PROTOCOLS
-                    and r.state_hash != baselines[r.seed].state_hash
-                ):
-                    hash_mismatches.append((protocol, loss, r.seed))
+                if r.state_hash != baselines[r.seed].state_hash:
+                    divergent.append((protocol, loss, r.seed))
+                    # A different outcome, but one all replicas share.
+                    if not r.mutually_consistent:
+                        violations.append((protocol, loss, r.seed))
             rows.append(
                 {
                     "protocol": protocol,
@@ -110,11 +128,11 @@ def sweep():
                     "hash match": f"{matches}/{len(SEEDS)}",
                 }
             )
-    return rows, hash_mismatches, violations
+    return rows, divergent, violations
 
 
 def test_e16_loss_sweep(benchmark, report):
-    rows, hash_mismatches, violations = run_once(benchmark, sweep)
+    rows, divergent, violations = run_once(benchmark, sweep)
     headers = list(rows[0])
     report(
         format_table(
@@ -127,7 +145,8 @@ def test_e16_loss_sweep(benchmark, report):
         )
     )
     assert not violations, violations
-    assert not hash_mismatches, hash_mismatches
+    assert divergent == DIVERGENT_RUNS
+    assert not {run[0] for run in divergent} & set(RELIABLE_PROTOCOLS)
     # Retransmit overhead must actually track the loss rate (the curve
     # the benchmark exists to measure).
     for protocol in PROTOCOLS:
@@ -162,6 +181,7 @@ def test_e16_loss_sweep(benchmark, report):
             }
             for row in rows
         ],
+        "hash_divergent_runs": [list(run) for run in divergent],
     }
     assert baseline == committed_record("BENCH_faults.json")
 

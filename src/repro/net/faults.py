@@ -17,10 +17,13 @@ Semantics
 ---------
 * **Loss** drops a message at delivery-scheduling time.  Held messages
   (partition semantics) are never "lost" while held; loss applies when
-  the network would actually put the message on a link — including the
-  release after a heal.  Without the reliable delivery layer a dropped
-  message is gone forever (this is what breaks the paper's requirement
-  (1)); with it, the retransmit path recovers.
+  the network actually puts the message on a link — a send, or the
+  release of a sender-held message after a heal.  A message stopped at
+  the receiver's edge already crossed the link: the heal hands it over
+  without consulting the injector again.  Without the reliable
+  delivery layer a dropped message is gone forever (this is what
+  breaks the paper's requirement (1)); with it, the retransmit path
+  recovers.
 * **Duplication** schedules a second, independently jittered copy of
   the same payload.  The reliable delivery layer must absorb it:
   nothing above the transport de-duplicates messages (stream admission
@@ -46,7 +49,7 @@ when tracing is enabled, emits a ``fault.*`` trace event.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.errors import NetworkError
@@ -251,14 +254,9 @@ class FaultInjector:
                     dst=message.dst,
                     kind=message.kind,
                 )
-            clone = Message(
-                message.src,
-                message.dst,
-                message.kind,
-                message.payload,
-                sent_at=message.sent_at,
+            self.network.put_on_wire(
+                replace(message), latency + self._jitter_draw()
             )
-            self.network.put_on_wire(clone, latency + self._jitter_draw())
 
     # -- internals ------------------------------------------------------
 

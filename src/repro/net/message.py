@@ -2,16 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
-
-_next_id = 0
-
-
-def _fresh_id() -> int:
-    global _next_id
-    _next_id += 1
-    return _next_id
 
 
 @dataclass(slots=True)
@@ -21,7 +13,8 @@ class Message:
     ``payload`` is an arbitrary application object (quasi-transaction,
     lock request, M0 move announcement, ...).  ``kind`` is a short tag
     used for tracing and for the per-kind message counts that the
-    overhead experiments (E10) report.
+    overhead experiments (E10) report.  These five fields are exactly
+    what a frame carries on the socket backend.
     """
 
     src: str
@@ -29,12 +22,3 @@ class Message:
     kind: str
     payload: Any
     sent_at: float = 0.0
-    delivered_at: float | None = None
-    msg_id: int = field(default_factory=_fresh_id)
-
-    @property
-    def in_flight_time(self) -> float | None:
-        """Delivery latency, or None while undelivered."""
-        if self.delivered_at is None:
-            return None
-        return self.delivered_at - self.sent_at

@@ -2,26 +2,40 @@
 
 Semantics
 ---------
-* A message between currently-connected nodes is delivered after the
-  shortest-path latency.
-* A message between disconnected nodes is *held* in a per-channel queue
-  and delivered once :meth:`Network.topology_changed` is called with
-  connectivity restored (the paper's "propagation will be completed
-  after the partition is fixed").
-* Per-channel FIFO: messages on the same ``(src, dst)`` channel are
-  delivered in send order even if latencies would reorder them or a
-  partition catches some of them in flight.  This is the *only* place
-  the fault-free stack orders messages: the paper's requirement
-  3.2-(2) (per-sender FIFO processing) holds for broadcast and unicast
-  traffic alike (quasi-transactions, lock grants, move handshakes,
-  quorum votes, heartbeats) because every channel is FIFO, and the
-  broadcast layer above is a stateless fan-out.  Two mechanisms carry
-  it: a delivery-time floor per channel (a later send never lands
-  before an earlier one) and a held queue kept in *send* order (a
-  message re-held at delivery time goes back in front of messages
-  sent after it).  Under injected loss, duplication or reordering the
-  :class:`~repro.net.reliable.ReliableTransport` restores the same
-  contract with channel sequence numbers.
+Each ``(src, dst)`` channel is two FIFO queues around a FIFO wire:
+
+* the **sender edge** queues sends made while the channel is
+  disconnected — they have never been on the wire;
+* the **wire** delivers after the shortest-path latency, never before
+  an earlier send on the same channel (the delivery-time floor in
+  :meth:`Network.put_on_wire`; TCP byte order on the socket backend);
+* the **receiver edge** queues arrivals a partition stopped — they
+  have crossed the wire and owe no second trip.
+
+Connectivity is consulted at two instants only, send and arrival (a
+link cut and healed under a message in flight does not disturb it),
+and nothing is lost: :meth:`Network.topology_changed` resumes every
+reconnected channel — the paper's "propagation will be completed after
+the partition is fixed".
+
+Per-channel FIFO is the paper's requirement 3.2-(2) and the *only*
+ordering the fault-free stack does (the broadcast layer above is a
+stateless fan-out; quasi-transactions, lock grants, move handshakes,
+quorum votes and heartbeats all rely on it).  It holds by induction,
+with no comparison of send times anywhere:
+
+1. each edge is a FIFO queue and the wire is FIFO;
+2. what stopped at the receiver was sent before what is on the wire,
+   which was sent before what is queued at the sender;
+3. a resume appends the sender edge to the wire and hands the receiver
+   edge over before anything on the wire can land, so a connected
+   channel has empty edges and nothing passes a queued message —
+   given that every link flip is followed by ``topology_changed()``
+   in the same event, before any send.
+
+Under injected loss, duplication or reordering the
+:class:`~repro.net.reliable.ReliableTransport` restores the same
+contract with channel sequence numbers.
 
 Observability
 -------------
@@ -37,10 +51,9 @@ trace event.  The invariants the reconciliation tests rely on:
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import defaultdict
+from collections import defaultdict, deque
 from collections.abc import Callable
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import NetworkError
 from repro.net.message import Message
@@ -48,23 +61,19 @@ from repro.net.topology import Topology
 from repro.obs import taxonomy
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.sim.simulator import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - runtime imports net through tcp
+    from repro.runtime.api import SchedulerProtocol
 
 Handler = Callable[[Message], None]
-
-
-def _send_order(message: Message) -> tuple[float, int]:
-    # ``msg_id`` alone orders sends made in this process; ``sent_at``
-    # leads so a frame decoded off a socket (fresh ``msg_id``, original
-    # ``sent_at``) still sorts before messages sent after it.
-    return (message.sent_at, message.msg_id)
+Channel = tuple[str, str]
 
 
 class Network:
     """Simulated point-to-point network over a :class:`Topology`.
 
     Each participating node registers a single receive handler.  All
-    sends are asynchronous; delivery happens via simulator events.
+    sends are asynchronous; delivery happens via scheduler events.
 
     Statistics (message counts by kind, bytes approximated by payload
     update counts) are tracked for the overhead experiments, both as
@@ -74,7 +83,7 @@ class Network:
 
     def __init__(
         self,
-        sim: Simulator,
+        sim: SchedulerProtocol,
         topology: Topology,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
@@ -84,10 +93,12 @@ class Network:
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._handlers: dict[str, Handler] = {}
-        # Held messages per (src, dst) channel, in send order.
-        self._held: dict[tuple[str, str], list[Message]] = defaultdict(list)
-        # Last scheduled delivery time per channel, for FIFO enforcement.
-        self._last_delivery: dict[tuple[str, str], float] = {}
+        # The two edge queues of each channel that ever held a message:
+        # sends made while disconnected, arrivals a partition stopped.
+        self._at_sender: dict[Channel, deque[Message]] = defaultdict(deque)
+        self._at_receiver: dict[Channel, deque[Message]] = defaultdict(deque)
+        # Last scheduled delivery time per channel: the wire's FIFO floor.
+        self._last_delivery: dict[Channel, float] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_by_kind: dict[str, int] = defaultdict(int)
@@ -111,27 +122,18 @@ class Network:
         # fault-free runs are byte-identical to a bare network.
         self.faults = None
         self.reliable = None
-        self._down = False
         # Interned event labels per (kind, src, dst): building the
         # delivery label with an f-string on every send shows up in
         # profiles at E15 scale, and the distinct-label population is
         # tiny (kinds x channels), so memoize the strings.
         self._labels: dict[tuple[str, str, str], str] = {}
-        self._loop_labels: dict[tuple[str, str], str] = {}
 
     def _label(self, kind: str, src: str, dst: str) -> str:
         label = self._labels.get((kind, src, dst))
         if label is None:
             label = self._labels[(kind, src, dst)] = (
                 f"deliver {kind} {src}->{dst}"
-            )
-        return label
-
-    def _loop_label(self, kind: str, node: str) -> str:
-        label = self._loop_labels.get((kind, node))
-        if label is None:
-            label = self._loop_labels[(kind, node)] = (
-                f"deliver {kind} {node}->{node} loopback"
+                + (" loopback" if src == dst else "")
             )
         return label
 
@@ -163,8 +165,8 @@ class Network:
         if src == dst:
             self.sim.schedule(
                 0.0,
-                lambda: self._deliver_local(message),
-                label=self._loop_label(kind, src),
+                lambda: self._hand_over(message),
+                label=self._label(kind, src, dst),
             )
             return message
         if self.reliable is not None:
@@ -184,49 +186,40 @@ class Network:
         self._transmit(message)
         return message
 
-    def broadcast_raw(self, src: str, kind: str, payload: Any) -> list[Message]:
-        """Unreliable convenience: unicast to every other registered node.
-
-        The *reliable* broadcast of the paper lives in
-        :mod:`repro.net.broadcast`; this raw variant is its transport.
-        """
-        return [
-            self.send(src, dst, kind, payload)
-            for dst in self._handlers
-            if dst != src
-        ]
-
     # -- partition lifecycle ----------------------------------------------
 
     def topology_changed(self) -> None:
-        """Re-examine held messages after a link state change.
+        """Resume every reconnected channel after a link state change.
 
-        Any held message whose endpoints are now connected is scheduled
-        for delivery (in channel FIFO order, after any in-flight
-        messages on the same channel).
+        The sends queued at a sender edge are put on the wire — fault
+        injector and FIFO floor apply to those, and only to those.  The
+        arrivals stopped at a receiver edge already crossed it: they go
+        to the handler as they are, in arrival order, before anything on
+        the wire can land.  Sender edges first, so that a handler
+        replying during the hand-over finds its channel's edge empty
+        and its reply queues on the wire behind the earlier sends.
         """
-        for channel, queue in self._held.items():
+        for channel, queue in self._at_sender.items():
             if not queue:
                 continue
-            src, dst = channel
-            latency = self.topology.path_latency(src, dst)
-            if latency is None:
-                continue
-            for message in queue:
-                self._c_released.inc()
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        taxonomy.MESSAGE_RELEASE,
-                        src=src,
-                        dst=dst,
-                        kind=message.kind,
-                    )
-                self._schedule_delivery(message, latency)
-            queue.clear()
+            latency = self.topology.path_latency(*channel)
+            if latency is not None:
+                while queue:
+                    self._schedule_delivery(self._release(queue), latency)
+        for channel, queue in self._at_receiver.items():
+            if queue and self.topology.path_latency(*channel) is not None:
+                while queue:
+                    self._hand_over(self._release(queue))
 
     def held_count(self) -> int:
         """Number of messages currently held due to disconnection."""
-        return sum(len(queue) for queue in self._held.values())
+        return sum(map(len, self._at_sender.values())) + sum(
+            map(len, self._at_receiver.values())
+        )
+
+    def dispatch(self, message: Message) -> None:
+        """Call the destination's registered handler with ``message``."""
+        self._handlers[message.dst](message)
 
     # -- internals --------------------------------------------------------
 
@@ -250,24 +243,28 @@ class Network:
             )
 
     def _transmit(self, message: Message) -> None:
+        # Send: the first instant connectivity is consulted.
         latency = self.topology.path_latency(message.src, message.dst)
         if latency is None:
-            self._hold(message)
+            self._hold(self._at_sender[(message.src, message.dst)], message)
         else:
             self._schedule_delivery(message, latency)
 
-    def _hold(self, message: Message) -> None:
-        # Send order, not hold order: a message a partition catches in
-        # flight gets here at its delivery time, after later sends were
-        # held directly.
-        insort(self._held[(message.src, message.dst)], message, key=_send_order)
+    def _hold(self, edge: deque[Message], message: Message) -> None:
+        edge.append(message)
         self._c_held.inc()
+        self._trace_edge(taxonomy.MESSAGE_HOLD, message)
+
+    def _release(self, edge: deque[Message]) -> Message:
+        message = edge.popleft()
+        self._c_released.inc()
+        self._trace_edge(taxonomy.MESSAGE_RELEASE, message)
+        return message
+
+    def _trace_edge(self, event: str, message: Message) -> None:
         if self.tracer.enabled:
             self.tracer.emit(
-                taxonomy.MESSAGE_HOLD,
-                src=message.src,
-                dst=message.dst,
-                kind=message.kind,
+                event, src=message.src, dst=message.dst, kind=message.kind
             )
 
     def _schedule_delivery(self, message: Message, latency: float) -> None:
@@ -295,7 +292,6 @@ class Network:
             if at < floor:
                 at = floor  # preserve channel FIFO
             self._last_delivery[channel] = at
-        message.delivered_at = at
         self.sim.schedule_at(
             at,
             lambda: self._deliver(message),
@@ -303,13 +299,19 @@ class Network:
         )
 
     def _deliver(self, message: Message) -> None:
-        # Re-check connectivity at delivery time: a partition that formed
-        # while the message was in flight drops it back into the held
-        # queue (it is not lost — requirement (1) of the paper).
+        # Arrival: the second and last instant connectivity is
+        # consulted.  A message a partition stops here has crossed the
+        # wire; it waits at the receiver's edge (not lost — requirement
+        # (1) of the paper) and is handed over, not re-sent, at the heal.
         if self.topology.path_latency(message.src, message.dst) is None:
-            message.delivered_at = None
-            self._hold(message)
+            self._hold(self._at_receiver[(message.src, message.dst)], message)
             return
+        self._hand_over(message)
+
+    def _hand_over(self, message: Message) -> None:
+        # The last step of every delivery: count, observe, trace, then
+        # the reliable transport's intercept or the node's handler
+        # (loopbacks never crossed a link, so the transport is not asked).
         self.messages_delivered += 1
         self._c_delivered.inc()
         delay = self.sim.now - message.sent_at
@@ -322,21 +324,10 @@ class Network:
                 kind=message.kind,
                 delay=delay,
             )
-        if self.reliable is not None and self.reliable.intercept(message):
+        if (
+            self.reliable is not None
+            and message.src != message.dst
+            and self.reliable.intercept(message)
+        ):
             return
-        self._handlers[message.dst](message)
-
-    def _deliver_local(self, message: Message) -> None:
-        message.delivered_at = self.sim.now
-        self.messages_delivered += 1
-        self._c_delivered.inc()
-        self._h_delay.observe(0.0)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                taxonomy.MESSAGE_DELIVER,
-                src=message.src,
-                dst=message.dst,
-                kind=message.kind,
-                delay=0.0,
-            )
-        self._handlers[message.dst](message)
+        self.dispatch(message)

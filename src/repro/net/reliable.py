@@ -27,9 +27,10 @@ implements the assumption instead of inheriting it:
 
 Partition awareness: a retransmit timer that fires while the channel
 is disconnected re-arms without consuming a retry or sending a copy —
-the held original will be released at the heal (the network's
-partition semantics), and burning the retry budget against a partition
-would turn every long partition into a delivery failure.
+the original waits at one edge of the channel and resumes at the heal
+(the network's partition semantics), and burning the retry budget
+against a partition would turn every long partition into a delivery
+failure.
 
 Transport state is middleware state: it survives node crashes (the
 paper's node model loses *database* state, not the network substrate's
@@ -44,10 +45,10 @@ from typing import TYPE_CHECKING, Any
 from repro.net.message import Message
 from repro.obs import taxonomy
 from repro.obs.lineage import batch_span_fields
-from repro.sim.events import EventHandle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
+    from repro.runtime.api import CancellableHandle
 
 #: Wire kind of acknowledgment messages.  Acks bypass wrapping and
 #: tracking (no acks-of-acks) but still ride the faulty network.
@@ -100,7 +101,7 @@ class _Outstanding:
     def __init__(self, packet: RPacket) -> None:
         self.packet = packet
         self.attempts = 0
-        self.timer: EventHandle | None = None
+        self.timer: CancellableHandle | None = None
 
 
 class _RecvChannel:
@@ -191,9 +192,9 @@ class ReliableTransport:
             return  # acked in the meantime
         src, dst = channel
         if self.network.topology.path_latency(src, dst) is None:
-            # Disconnected: the original (or a copy) is held by the
-            # network and will be released at the heal.  Re-arm without
-            # consuming a retry or flooding the held queue.
+            # Disconnected: the original (or a copy) waits at one edge
+            # of the channel and resumes at the heal.  Re-arm without
+            # consuming a retry or flooding the sender edge.
             self._c_paused.inc()
             self._arm_timer(channel, entry)
             return
@@ -280,17 +281,15 @@ class ReliableTransport:
     def _deliver_in_order(
         self, message: Message, state: _RecvChannel, packet: RPacket
     ) -> None:
-        handler = self.network._handlers[message.dst]
         while True:
             state.next_expected += 1
-            handler(
+            self.network.dispatch(
                 Message(
                     message.src,
                     message.dst,
                     packet.kind,
                     packet.payload,
                     sent_at=message.sent_at,
-                    delivered_at=self.network.sim.now,
                 )
             )
             next_packet = state.buffer.pop(state.next_expected, None)

@@ -11,8 +11,8 @@ from __future__ import annotations
 # -- network (repro.net.network) --------------------------------------
 MESSAGE_SEND = "message.send"  # every Network.send, held or not
 MESSAGE_DELIVER = "message.deliver"  # handler actually invoked
-MESSAGE_HOLD = "message.hold"  # held at send, or re-held in flight
-MESSAGE_RELEASE = "message.release"  # released by a topology change
+MESSAGE_HOLD = "message.hold"  # held at the sender's or receiver's edge
+MESSAGE_RELEASE = "message.release"  # resumed by a topology change
 
 # -- fault injection (repro.net.faults) -------------------------------
 FAULT_DROP = "fault.drop"  # injected message loss

@@ -117,6 +117,15 @@ class TransportProtocol(Protocol):
 
     def send(self, src: str, dst: str, kind: str, payload: Any) -> Any: ...
 
-    def topology_changed(self) -> None: ...
+    def topology_changed(self) -> None:
+        """Resume the channels a link-state change reconnected.
+
+        The caller's side of per-channel FIFO: every flip of a link's
+        ``up`` flag is followed by this call in the same event, before
+        anything is sent.  The transport consults connectivity only
+        when a message is sent and when it arrives, and relies on a
+        connected channel having nothing queued at either edge.
+        """
+        ...
 
     def put_on_wire(self, message: Any, latency: float) -> None: ...

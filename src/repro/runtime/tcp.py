@@ -23,10 +23,12 @@ that repair simulated loss.  A killed node additionally refuses
 delivery via ``down_guard`` *before* the transport's intercept, so a
 crashed node can never acknowledge a packet its database never saw.
 
-The sim-style fault path still works too: ``fail_node`` marks links
-down, ``Network._transmit`` holds outbound messages exactly as in the
-simulator, and ``topology_changed`` releases them through this class's
-transmission override — onto the socket.
+The sim-style fault path still works too, by the inherited channel
+rule: ``fail_node`` marks links down, sends wait at the sender's edge
+and ``topology_changed`` releases them through this class's
+transmission override — onto the socket — while a frame that came off
+the socket during the outage waits at the receiver's edge and is
+handed to the handler at the heal, not encoded and sent again.
 """
 
 from __future__ import annotations

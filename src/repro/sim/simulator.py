@@ -165,11 +165,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        event = Event(self._now + delay, self._seq, callback, label)
-        self._seq += 1
-        self._pending += 1
-        self._wheel_insert(event)
-        return EventHandle(event, on_cancel=self._on_cancel)
+        return self._insert(self._now + delay, callback, label)
 
     def schedule_at(
         self,
@@ -179,15 +175,30 @@ class Simulator:
     ) -> EventHandle:
         """Schedule ``callback`` at absolute simulation time ``time``.
 
-        ``time == now`` expressed through a differently-accumulated
-        float sum can come out an epsilon *below* ``now``; such deltas
-        are clamped to zero instead of raising, so long runs do not
-        crash on harmless drift.
+        The event fires at exactly ``time`` — not ``now + (time - now)``,
+        which can round an ulp below it and so ahead of an event already
+        queued for ``time`` (the network's per-channel FIFO floor hands
+        in such times).  ``time == now`` expressed through a
+        differently-accumulated float sum can come out an epsilon
+        *below* ``now``; such times are clamped to ``now`` instead of
+        raising, so long runs do not crash on harmless drift.
         """
-        delay = time - self._now
-        if delay < 0.0 and -delay <= _PAST_EPSILON * (abs(self._now) + 1.0):
-            delay = 0.0
-        return self.schedule(delay, callback, label)
+        if time < self._now:
+            if self._now - time > _PAST_EPSILON * (abs(self._now) + 1.0):
+                raise SimulationError(
+                    f"cannot schedule in the past (delay={time - self._now})"
+                )
+            time = self._now
+        return self._insert(time, callback, label)
+
+    def _insert(
+        self, time: float, callback: Callable[[], None], label: str
+    ) -> EventHandle:
+        event = Event(time, self._seq, callback, label)
+        self._seq += 1
+        self._pending += 1
+        self._wheel_insert(event)
+        return EventHandle(event, on_cancel=self._on_cancel)
 
     def schedule_recurring(
         self,

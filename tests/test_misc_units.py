@@ -17,7 +17,6 @@ from repro.cc.history import (
 )
 from repro.core.transaction import RequestTracker
 from repro.errors import DesignError
-from repro.net.message import Message
 from repro.cc.ops import Write
 
 
@@ -134,19 +133,6 @@ class TestScriptedBody:
         )
         db.quiesce()
         assert collected == [("x", 42)]
-
-
-class TestMessage:
-    def test_in_flight_time(self):
-        message = Message("A", "B", "k", None, sent_at=3.0)
-        assert message.in_flight_time is None
-        message.delivered_at = 7.5
-        assert message.in_flight_time == 4.5
-
-    def test_ids_unique(self):
-        a = Message("A", "B", "k", None)
-        b = Message("A", "B", "k", None)
-        assert a.msg_id != b.msg_id
 
 
 class TestReplicationMoveGuard:

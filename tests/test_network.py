@@ -157,6 +157,48 @@ class TestNetworkDelivery:
         sim.run()
         assert received == ["m1", "m2"]
 
+    @pytest.mark.parametrize("heal_at", [3.5, 4.0])
+    def test_heal_while_a_later_send_is_still_in_flight(self, heal_at):
+        # m1 is stopped at B's edge at t=3; m2, sent before the cut, is
+        # due at t=4 — after the early heal, in the same instant as the
+        # late one (the heal event is scheduled first, so it fires
+        # first).  m1 crossed the wire already: the heal hands it over,
+        # it does not travel again behind m2.
+        sim, topo, net = make_net(["A", "B"], latency=3.0)
+        received = []
+        net.register("B", lambda m: received.append((m.payload, sim.now)))
+        net.register("A", lambda m: None)
+        manager = PartitionManager(net)
+        sim.schedule_at(heal_at, manager.heal_now)
+        net.send("A", "B", "m", "m1")
+        sim.schedule_at(1.0, lambda: net.send("A", "B", "m", "m2"))
+        sim.schedule_at(2.0, lambda: manager.partition_now([["A"], ["B"]]))
+        sim.schedule_at(2.5, lambda: net.send("A", "B", "m", "m3"))
+        sim.run()
+        assert received == [
+            ("m1", heal_at),
+            ("m2", 4.0),
+            ("m3", heal_at + 3.0),
+        ]
+        assert net.held_count() == 0
+        assert net.messages_delivered == 3
+
+    def test_handler_reply_during_a_heal_stays_behind_queued_sends(self):
+        # B queued "b1" for A during the cut; A's "a1" was stopped at
+        # B's edge.  The heal hands "a1" to B, whose reply must not
+        # pass "b1" on the B->A channel.
+        sim, topo, net = make_net(["A", "B"], latency=2.0)
+        at_a = []
+        net.register("A", lambda m: at_a.append(m.payload))
+        net.register("B", lambda m: net.send("B", "A", "m", f"re:{m.payload}"))
+        manager = PartitionManager(net)
+        net.send("A", "B", "m", "a1")
+        sim.schedule_at(1.0, lambda: manager.partition_now([["A"], ["B"]]))
+        sim.schedule_at(3.0, lambda: net.send("B", "A", "m", "b1"))
+        sim.schedule_at(5.0, manager.heal_now)
+        sim.run()
+        assert at_a == ["b1", "re:a1"]
+
     def test_stats_and_errors(self):
         sim, topo, net = make_net(["A", "B"])
         net.register("A", lambda m: None)
@@ -175,13 +217,12 @@ class TestNetworkDelivery:
         received = []
         net.register("A", lambda m: received.append(m))
         net.register("B", lambda m: None)
-        message = net.send("A", "A", "self-note", 42)
+        net.send("A", "A", "self-note", 42)
         # Asynchronous: nothing delivered until the simulator runs.
         assert received == []
         sim.run()
         assert [m.payload for m in received] == [42]
         assert received[0].src == "A" and received[0].dst == "A"
-        assert message.delivered_at == 0.0
         assert net.messages_sent == 1
         assert net.messages_delivered == 1
 

@@ -1,6 +1,6 @@
 """Property-based invariant tests for the substrate layers."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cc.locks import LockMode, LockTable
 from repro.net import Network, ReliableBroadcast, Topology
@@ -94,6 +94,27 @@ channel_scripts = st.lists(
 
 class TestChannelFifoInvariants:
     @given(script=channel_scripts)
+    # The script that turned ``main`` red: message 0 is stopped at B's
+    # edge at t=3, message 2 is still in flight when A-B heals at t=4.
+    @example(
+        script=[
+            (0.0, "send", ("A", "B")),
+            (1.0, "cut", ("A", "C")),
+            (1.0, "send", ("A", "B")),
+            (1.0, "cut", ("A", "B")),
+            (4.0, "heal", ("A", "B")),
+        ]
+    )
+    # A->C reroutes over the healed A-B; the FIFO floor lifts message 3
+    # to message 1's arrival time, which the simulator must not round.
+    @example(
+        script=[
+            (0.0, "cut", ("A", "B")),
+            (0.05, "send", ("A", "C")),
+            (1.0, "heal", ("A", "B")),
+            (1.2493307495167518, "send", ("A", "C")),
+        ]
+    )
     @settings(max_examples=200)
     def test_unicast_delivery_order_equals_send_order(self, script):
         """Per-channel FIFO is the bare network's own contract: no

@@ -534,6 +534,42 @@ def test_transport_conformance(backend):
     assert backend.settle(lambda: received == list(range(10)))
     assert net.held_count() == 0
 
+    # The mixed case.  Arrivals are taken off the wire here and let
+    # through by the script, so on real sockets no wall-clock race
+    # decides which side of the cut or the heal a message lands on.
+    arrive = net._deliver
+    wire = []
+    net._deliver = wire.append
+
+    def arrivals(count):
+        for _ in range(count):
+            arrive(wire.pop(0))
+
+    frames_sent = net.metrics.counter("tcp.frames_sent")
+    backend.on_runtime(lambda: burst(10))
+    assert backend.settle(lambda: len(wire) == 5)  # 10..14 crossed
+
+    def cut_arrive_and_send():
+        topology.set_link_up("A", "B", False)
+        net.topology_changed()
+        arrivals(2)  # 10, 11 arrive during the cut
+        net.send("A", "B", "m", 15)  # sent during the cut
+        net.send("A", "B", "m", 16)
+
+    backend.on_runtime(cut_arrive_and_send)
+    assert net.held_count() == 4 and len(wire) == 3
+    assert received == list(range(10))
+    sent_before_heal = frames_sent.value
+    backend.on_runtime(heal)
+    # Stopped arrivals are handed over at once; they are not re-sent.
+    assert received == list(range(12))
+    assert net.held_count() == 0
+    assert backend.settle(lambda: len(wire) == 5)  # 12..14, then 15, 16
+    if isinstance(net, TcpMeshNetwork):
+        assert frames_sent.value - sent_before_heal == 2
+    backend.on_runtime(lambda: arrivals(5))  # 12..14 arrive after the heal
+    assert received == list(range(17))
+
 
 # ---------------------------------------------------------------------------
 # Determinism: no wall-clock leakage into simulator scheduling

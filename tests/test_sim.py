@@ -257,6 +257,21 @@ class TestScheduleAtDrift:
         sim.run()
         assert fired == [100.0]
 
+    def test_fires_at_exactly_the_time_given(self):
+        # now + (time - now) rounds an ulp below 7.05 here, which would
+        # put the second event ahead of the first.
+        sim = Simulator()
+        order = []
+        sim.schedule_at(
+            0.05, lambda: sim.schedule(7.0, lambda: order.append("first"))
+        )
+        sim.schedule_at(
+            1.2493307495167518,
+            lambda: sim.schedule_at(0.05 + 7.0, lambda: order.append(sim.now)),
+        )
+        sim.run()
+        assert order == ["first", 0.05 + 7.0]
+
     def test_genuinely_past_times_still_rejected(self):
         sim = Simulator()
         sim.schedule(100.0, lambda: None)
