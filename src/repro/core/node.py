@@ -97,9 +97,12 @@ class DatabaseNode:
     def handle_network(self, message: Message) -> None:
         """Single network entry point: route broadcast vs unicast."""
         if self.down:
-            # Shouldn't happen (a crashed node's links are down and the
-            # network re-holds in-flight messages), but a zero-latency
-            # race is cheap to make safe: the network layer re-holds.
+            # A crashed node's links are held down, so link-crossing
+            # traffic waits at the network's edges — but a loopback
+            # scheduled before the crash bypasses holds, and a hard
+            # kill leaves the links up.  What lands here is lost with
+            # the node's volatile state; count it.
+            self.metrics.inc("node.dropped_while_down")
             return
         if isinstance(message.payload, SeqPayload):
             self.system.broadcast.handle_message(message)
@@ -395,8 +398,8 @@ class DatabaseNode:
         self.apply_queue.clear()
         self.system.pipeline.node_crashed(self)
 
-    def recover(self) -> None:
-        """Restore checkpoints, replay the WAL suffix, then catch up.
+    def restore(self) -> None:
+        """Restore checkpoints and replay the WAL suffix.
 
         The durable state comes back in two layers: the newest
         checkpoint per fragment restores that fragment's snapshot and
@@ -405,9 +408,11 @@ class DatabaseNode:
         dropped the rest; the guards below make the order safe even
         when truncation is disabled).  Quasi-transactions the
         middleware had delivered but that never reached the WAL are
-        gone from this replica — the recovery manager's cursor-based
-        catch-up asks one donor per fragment for exactly the missing
-        suffix, and the ordered admission path re-installs it.
+        gone from this replica — once the caller
+        (``FragmentedDatabase._rejoin``) has reconnected the node, the
+        recovery manager's cursor-based catch-up asks one donor per
+        fragment for exactly the missing suffix, and the ordered
+        admission path re-installs it.
         """
         self.down = False
         streams = self.streams
@@ -434,7 +439,6 @@ class DatabaseNode:
             streams.record(quasi)
             streams.observe(quasi)
         self.system.pipeline.node_recovered(self)
-        self.system.recovery.catch_up(self)
 
     def __repr__(self) -> str:
         return f"DatabaseNode({self.name!r})"

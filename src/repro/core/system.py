@@ -23,7 +23,7 @@ movement protocol (Section 4.4).
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -61,7 +61,7 @@ from repro.net.faults import CrashEpisode, FaultInjector, FaultPlan
 from repro.net.network import Network
 from repro.net.partition import PartitionManager
 from repro.net.reliable import ReliableConfig, ReliableTransport
-from repro.net.topology import Topology
+from repro.net.topology import Link, Topology
 from repro.net.broadcast import ReliableBroadcast
 from repro.obs import taxonomy
 from repro.obs.metrics import MetricsRegistry
@@ -180,7 +180,6 @@ class FragmentedDatabase:
         self.pipeline = ReplicationPipeline(pipeline)
         self.pipeline.attach(self)
         self.partitions = PartitionManager(self.network)
-        self.partitions.crashed_guard = self._node_is_down
         self.recorder = HistoryRecorder()
         self.catalog = FragmentCatalog()
         self.rag = ReadAccessGraph(self.catalog)
@@ -209,7 +208,6 @@ class FragmentedDatabase:
             self.injector: FaultInjector | None = FaultInjector(
                 self.network, faults, self.rng.fork("faults")
             )
-            self.injector.revive_guard = self._flap_revive_guard
             self.injector.install()
             self.partitions.install(faults.partitions)
             if runtime == "asyncio":
@@ -859,19 +857,13 @@ class FragmentedDatabase:
             return
         self.fail_node(crash.node)
 
-    def _flap_revive_guard(self, a: str, b: str) -> bool:
-        """Flap-up veto: crashes and partitions outrank flap revival.
-
-        A partition that claimed the link mid-flap adopts it, so the
-        scheduled heal (not the flap) brings it back; a crash-held link
-        returns through node recovery.
-        """
-        if self._node_is_down(a) or self._node_is_down(b):
-            return False
-        if self.partitions.severs(a, b):
-            self.partitions.adopt(a, b)
-            return False
-        return True
+    def _crash_holds(self, name: str) -> list[tuple[Link, Hashable]]:
+        # A crashed node holds every link it is an endpoint of.
+        return [
+            (link, ("crash", name))
+            for link in self.topology.links
+            if name in link.endpoints()
+        ]
 
     def fail_node(self, name: str) -> None:
         """Crash-stop one node: volatile state lost, links down.
@@ -884,45 +876,40 @@ class FragmentedDatabase:
         node = self.nodes[name]
         if node.down:
             return
-        for link in self.topology.links:
-            if name in link.endpoints():
-                link.up = False
+        self.network.change_links(hold=self._crash_holds(name))
         node.crash()
         self.metrics.inc("node.crashes")
         if self.tracer.enabled:
             self.tracer.emit(taxonomy.NODE_CRASH, node=name)
-        self.network.topology_changed()
 
     def recover_node(self, name: str) -> None:
         """Bring a crashed node back: WAL replay + anti-entropy.
 
-        Link state is *recomputed*, not replayed from a pre-crash
-        snapshot: a link comes back up only if no currently-active
-        partition episode severs it and its other endpoint is alive.  A
-        link a partition formed while this node was down keeps severed
-        (the partition manager adopts it and restores it at heal time).
+        Only the crash's own holds are released: a link whose other
+        endpoint is still down, that an active partition episode
+        severs, or that sits inside a flap window stays down until
+        those holders release it too.
         """
         if name not in self.nodes:
             raise DesignError(f"unknown node {name!r}")
+        if self.nodes[name].down:
+            self._rejoin(name)
+
+    def _rejoin(self, name: str, **trace_extra: Any) -> None:
+        """Restore state, release the crash holds, then catch up.
+
+        In that order: the release puts the node's sender edges on the
+        wire and hands its receiver edges to the restored node, so the
+        catch-up requests that follow queue behind every earlier send
+        and carry cursors that already count what was waiting for it.
+        """
         node = self.nodes[name]
-        if not node.down:
-            return
-        for link in self.topology.links:
-            if name not in link.endpoints():
-                continue
-            other = link.b if link.a == name else link.a
-            if self.nodes[other].down:
-                continue  # stays down until the peer recovers too
-            if self.partitions.severs(link.a, link.b):
-                link.up = False
-                self.partitions.adopt(link.a, link.b)
-            else:
-                link.up = True
         self.metrics.inc("node.recoveries")
         if self.tracer.enabled:
-            self.tracer.emit(taxonomy.NODE_RECOVER, node=name)
-        node.recover()
-        self.network.topology_changed()
+            self.tracer.emit(taxonomy.NODE_RECOVER, node=name, **trace_extra)
+        node.restore()
+        self.network.change_links(release=self._crash_holds(name))
+        self.recovery.catch_up(node)
 
     def hard_kill_node(self, name: str) -> None:
         """Kill one node at the *socket* level (asyncio backend).
@@ -959,12 +946,8 @@ class FragmentedDatabase:
         proxy = getattr(self.network, "proxies", {}).get(name)
         if proxy is not None:
             proxy.revive()
-        if not node.down:
-            return
-        self.metrics.inc("node.recoveries")
-        if self.tracer.enabled:
-            self.tracer.emit(taxonomy.NODE_RECOVER, node=name, hard=True)
-        node.recover()
+        if node.down:
+            self._rejoin(name, hard=True)
 
     # -- agent movement -----------------------------------------------------------
 

@@ -33,9 +33,11 @@ Semantics
   With per-channel FIFO floors disabled this reorders messages (the
   E12a ablation's reordering channel); with them enabled it still
   perturbs cross-channel interleavings.
-* **Flaps** take one link down for a fixed window and revive it after,
-  unless a partition episode or a crashed endpoint holds it down (the
-  ``revive_guard`` hook, installed by ``FragmentedDatabase``).
+* **Flaps** hold one link down for a fixed window.  The flap is one
+  holder among the link's others (``Network.change_links``): a
+  partition episode or a crashed endpoint that also holds the link
+  keeps it down past the window, and a recovery or heal inside the
+  window does not revive it.
 * **Crash / partition episodes** are carried in the plan for the chaos
   harness's convenience but applied at system level
   (``FragmentedDatabase`` schedules ``fail_node``/``recover_node`` and
@@ -48,7 +50,7 @@ when tracing is enabled, emits a ``fault.*`` trace event.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -90,8 +92,8 @@ class LossBurst:
 
 @dataclass(frozen=True, slots=True)
 class LinkFlap:
-    """A transient single-link outage: down at ``at``, revived after
-    ``duration`` (unless a partition/crash claims the link by then)."""
+    """A transient single-link outage: held down from ``at`` for
+    ``duration`` (the link comes up then unless someone else holds it)."""
 
     at: float
     a: str
@@ -192,17 +194,10 @@ class FaultInjector:
         self.metrics = network.metrics
         self.dropped = 0
         self.duplicated = 0
-        #: Revive veto for flap-up: ``revive_guard(a, b)`` returning
-        #: False keeps the link down (active partition claim, crashed
-        #: endpoint).  Installed by ``FragmentedDatabase``.
-        self.revive_guard: Callable[[str, str], bool] | None = None
         self._c_dropped = self.metrics.counter("fault.messages_dropped")
         self._c_duplicated = self.metrics.counter("fault.messages_duplicated")
         self._c_flaps = self.metrics.counter("fault.flaps")
         self._h_jitter = self.metrics.histogram("fault.injected_jitter")
-        # Flap bookkeeping: a flap only revives a link it actually took
-        # down (a link already down at flap time is someone else's).
-        self._flap_took_down: dict[int, bool] = {}
         network.faults = self
 
     # -- installation --------------------------------------------------
@@ -210,15 +205,15 @@ class FaultInjector:
     def install(self) -> None:
         """Schedule the plan's link flaps on the network's simulator."""
         sim = self.network.sim
-        for index, flap in enumerate(self.plan.flaps):
+        for flap in self.plan.flaps:
             sim.schedule_at(
                 flap.at,
-                lambda f=flap, i=index: self._flap_down(f, i),
+                lambda f=flap: self._flap_down(f),
                 label=f"fault flap down {flap.a}-{flap.b}",
             )
             sim.schedule_at(
                 flap.at + flap.duration,
-                lambda f=flap, i=index: self._flap_up(f, i),
+                lambda f=flap: self._flap_up(f),
                 label=f"fault flap up {flap.a}-{flap.b}",
             )
 
@@ -277,31 +272,21 @@ class FaultInjector:
         self._h_jitter.observe(extra)
         return extra
 
-    def _flap_down(self, flap: LinkFlap, index: int) -> None:
-        link = self.network.topology.link(flap.a, flap.b)
-        self._flap_took_down[index] = link.up
-        if not link.up:
-            return  # already down (crash/partition owns it)
-        link.up = False
-        self._c_flaps.inc()
-        if self.tracer.enabled:
-            self.tracer.emit(
-                taxonomy.FAULT_FLAP_DOWN, a=flap.a, b=flap.b,
-                duration=flap.duration,
-            )
-        self.network.topology_changed()
-
-    def _flap_up(self, flap: LinkFlap, index: int) -> None:
-        if not self._flap_took_down.pop(index, False):
-            return  # the link was not ours to revive
-        if self.revive_guard is not None and not self.revive_guard(
-            flap.a, flap.b
-        ):
-            return  # a partition claim or crash now owns the link
+    def _flap_down(self, flap: LinkFlap) -> None:
+        # The flap itself is the holder; counters and trace events
+        # report up/down transitions only.
         link = self.network.topology.link(flap.a, flap.b)
         if link.up:
-            return
-        link.up = True
-        if self.tracer.enabled:
+            self._c_flaps.inc()
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    taxonomy.FAULT_FLAP_DOWN, a=flap.a, b=flap.b,
+                    duration=flap.duration,
+                )
+        self.network.change_links(hold=[(link, flap)])
+
+    def _flap_up(self, flap: LinkFlap) -> None:
+        link = self.network.topology.link(flap.a, flap.b)
+        if link.released_by({flap}) and self.tracer.enabled:
             self.tracer.emit(taxonomy.FAULT_FLAP_UP, a=flap.a, b=flap.b)
-        self.network.topology_changed()
+        self.network.change_links(release=[(link, flap)])

@@ -14,9 +14,11 @@ Each ``(src, dst)`` channel is two FIFO queues around a FIFO wire:
 
 Connectivity is consulted at two instants only, send and arrival (a
 link cut and healed under a message in flight does not disturb it),
-and nothing is lost: :meth:`Network.topology_changed` resumes every
-reconnected channel — the paper's "propagation will be completed after
-the partition is fixed".
+and nothing is lost: link state has one writer,
+:meth:`Network.change_links`, which applies a set of ``(link, holder)``
+holds and releases and resumes every reconnected channel before it
+returns — the paper's "propagation will be completed after the
+partition is fixed".
 
 Per-channel FIFO is the paper's requirement 3.2-(2) and the *only*
 ordering the fault-free stack does (the broadcast layer above is a
@@ -28,10 +30,10 @@ with no comparison of send times anywhere:
 2. what stopped at the receiver was sent before what is on the wire,
    which was sent before what is queued at the sender;
 3. a resume appends the sender edge to the wire and hands the receiver
-   edge over before anything on the wire can land, so a connected
-   channel has empty edges and nothing passes a queued message —
-   given that every link flip is followed by ``topology_changed()``
-   in the same event, before any send.
+   edge over before anything on the wire can land, and no send can
+   fall between a link flip and its resume (they are one call), so a
+   connected channel has empty edges and nothing passes a queued
+   message.
 
 Under injected loss, duplication or reordering the
 :class:`~repro.net.reliable.ReliableTransport` restores the same
@@ -52,12 +54,12 @@ trace event.  The invariants the reconciliation tests rely on:
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from collections.abc import Callable
+from collections.abc import Callable, Hashable, Iterable
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import NetworkError
 from repro.net.message import Message
-from repro.net.topology import Topology
+from repro.net.topology import Link, Topology
 from repro.obs import taxonomy
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -188,17 +190,35 @@ class Network:
 
     # -- partition lifecycle ----------------------------------------------
 
-    def topology_changed(self) -> None:
-        """Resume every reconnected channel after a link state change.
+    def change_links(
+        self,
+        hold: Iterable[tuple[Link, Hashable]] = (),
+        release: Iterable[tuple[Link, Hashable]] = (),
+    ) -> None:
+        """The one link-state change: hold, release, resume.
 
-        The sends queued at a sender edge are put on the wire — fault
-        injector and FIFO floor apply to those, and only to those.  The
-        arrivals stopped at a receiver edge already crossed it: they go
-        to the handler as they are, in arrival order, before anything on
-        the wire can land.  Sender edges first, so that a handler
-        replying during the hand-over finds its channel's edge empty
-        and its reply queues on the wire behind the earlier sends.
+        A link is down while any holder holds it (a crashed endpoint, a
+        partition episode, a flap window — any hashable key).  Each
+        ``(link, holder)`` in ``hold`` is added and each in ``release``
+        dropped (both idempotent), then every channel the change
+        reconnected is resumed before this returns, so nothing can be
+        sent between a flip and its resume.  A caller that reports how
+        many links come up asks :meth:`Link.released_by` first.
         """
+        for link, holder in hold:
+            link._change(holder, hold=True)
+        for link, holder in release:
+            link._change(holder, hold=False)
+        self._resume()
+
+    def _resume(self) -> None:
+        # The sends queued at a sender edge are put on the wire — fault
+        # injector and FIFO floor apply to those, and only to those.
+        # The arrivals stopped at a receiver edge already crossed it:
+        # they go to the handler as they are, in arrival order, before
+        # anything on the wire can land.  Sender edges first, so that a
+        # handler replying during the hand-over finds its channel's edge
+        # empty and its reply queues on the wire behind the earlier sends.
         for channel, queue in self._at_sender.items():
             if not queue:
                 continue

@@ -2,25 +2,28 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import NetworkError
 from repro.net.network import Network
+from repro.net.topology import Link
 from repro.obs import taxonomy
 
 
-@dataclass
+@dataclass(eq=False)
 class PartitionSpec:
-    """One scripted partition episode.
+    """One partition episode — and the holder that keeps its links down.
 
     The network is severed into the given ``groups`` at ``start`` and
     healed at ``end``.  Nodes not mentioned in any group remain
     connected to each other (links among them are untouched), but all
-    links crossing between two distinct groups go down.  Healing
-    restores only the links this episode is responsible for: a link
-    also claimed by a different still-active episode, or owned by a
-    currently-crashed node, stays down.
+    links crossing between two distinct groups are held down by this
+    episode (it hashes by identity, so two episodes over the same
+    groups are two holders).  Healing releases this episode's holds
+    only: a link another active episode, a crashed endpoint or an open
+    flap window also holds stays down until they release it too.
     """
 
     start: float
@@ -46,15 +49,11 @@ class PartitionManager:
 
     Call :meth:`install` once after constructing the network; each
     episode schedules a cut event and a heal event on the simulator.
-    The manager notifies the network (``topology_changed``) after every
-    link-state change so held messages get released.
-
-    Link bookkeeping: every active episode (scripted or via
-    :meth:`partition_now`) *claims* the links crossing its groups.  A
-    heal releases the episode's claims and restores only links whose
-    claim count drops to zero AND that a partition actually took down
-    — links downed by a node crash (see ``crashed_guard``) are left to
-    the node-recovery path.
+    An active episode (scripted, or opened by :meth:`partition_now`)
+    holds the links crossing its groups through
+    :meth:`Network.change_links`; a heal releases exactly those holds,
+    so overlap with other episodes, crashes and flaps needs no
+    arbitration here.
     """
 
     def __init__(self, network: Network) -> None:
@@ -64,17 +63,8 @@ class PartitionManager:
         self.episodes: list[PartitionSpec] = []
         self.partitions_applied = 0
         self.heals_applied = 0
-        # Active severance claims per link key (frozenset endpoint pair):
-        # how many active episodes want the link down.
-        self._claims: dict[frozenset[str], int] = {}
-        # Links a partition actually transitioned up -> down (a link
-        # already down — crashed endpoint, manual cut — is claimed but
-        # not owned, and is never restored by a heal).
-        self._owned: set[frozenset[str]] = set()
-        # Optional hook: ``crashed_guard(node) -> True`` if the node is
-        # currently crashed; links touching a crashed node are never
-        # brought up by a heal.  Installed by FragmentedDatabase.
-        self.crashed_guard: Callable[[str], bool] | None = None
+        # Active episodes and the links each holds down.
+        self._active: dict[PartitionSpec, list[Link]] = {}
         self._c_cuts = self.metrics.counter("partition.links_cut")
         self._c_healed = self.metrics.counter("partition.links_healed")
 
@@ -89,141 +79,70 @@ class PartitionManager:
             )
             self.network.sim.schedule_at(
                 spec.end,
-                lambda spec=spec: self._heal(spec),
+                lambda spec=spec: self._heal([spec], spec.label),
                 label=f"partition heal {spec.label}",
             )
 
     def partition_now(self, groups: Sequence[Iterable[str]]) -> int:
         """Immediately sever the network into the given groups.
 
-        The cut stays claimed until :meth:`heal_now` (scripted episodes
-        release their own claims at their scheduled heal).
+        The episode stays active until :meth:`heal_now` (scripted
+        episodes end at their scheduled heal, or at an earlier
+        :meth:`heal_now`).  Returns how many links it took down.
         """
-        cut = self._cut_groups(groups)
-        self.partitions_applied += 1
-        self._trace_cut(groups, cut, label="(now)")
-        self.network.topology_changed()
-        return cut
+        spec = PartitionSpec(self.network.sim.now, math.inf, groups, "(now)")
+        self._apply(spec)
+        return spec.links_cut
 
     def heal_now(self) -> int:
-        """Release every active claim and restore partition-cut links.
-
-        Links taken down by a node crash (``crashed_guard``) remain
-        down — they come back through node recovery, not the partition
-        path.
-        """
-        self._claims.clear()
-        healed = 0
-        for key in list(self._owned):
-            self._owned.discard(key)
-            if self._restore(key):
-                healed += 1
-        self.heals_applied += 1
-        self._c_healed.inc(healed)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                taxonomy.PARTITION_HEAL, label="(now)", links_healed=healed
-            )
-        self.network.topology_changed()
-        return healed
-
-    def severs(self, a: str, b: str) -> bool:
-        """True if an active episode claims the link between a and b."""
-        return self._claims.get(frozenset((a, b)), 0) > 0
-
-    def adopt(self, a: str, b: str) -> None:
-        """Take ownership of a currently-down link under an active claim.
-
-        Used by node recovery: a link that must stay down because of an
-        active partition becomes the partition's to restore at heal.
-        """
-        key = frozenset((a, b))
-        if self._claims.get(key, 0) > 0:
-            self._owned.add(key)
+        """End every active episode; returns how many links came up."""
+        return self._heal(list(self._active), "(now)")
 
     # -- internals ------------------------------------------------------
 
-    def _cross_links(self, groups: Sequence[Iterable[str]]):
+    def _cross_links(self, groups: Sequence[Iterable[str]]) -> list[Link]:
         materialized = [set(group) for group in groups]
         for i, group_a in enumerate(materialized):
             for group_b in materialized[i + 1 :]:
                 if group_a & group_b:
                     raise NetworkError("partition groups overlap")
+        links = []
         for link in self.network.topology.links:
             ends = link.endpoints()
-            touched = [
-                index
-                for index, group in enumerate(materialized)
-                if ends & group
-            ]
-            if len(touched) >= 2:
-                yield link
-
-    def _cut_groups(self, groups: Sequence[Iterable[str]]) -> int:
-        total = 0
-        for link in self._cross_links(groups):
-            key = link.endpoints()
-            self._claims[key] = self._claims.get(key, 0) + 1
-            if link.up:
-                link.up = False
-                self._owned.add(key)
-                total += 1
-        self._c_cuts.inc(total)
-        return total
-
-    def _release_groups(self, groups: Sequence[Iterable[str]]) -> int:
-        healed = 0
-        for link in self._cross_links(groups):
-            key = link.endpoints()
-            count = self._claims.get(key)
-            if count is None:
-                continue  # already released (e.g. an earlier heal_now)
-            if count > 1:
-                self._claims[key] = count - 1
-                continue
-            del self._claims[key]
-            if key in self._owned:
-                self._owned.discard(key)
-                if self._restore(key):
-                    healed += 1
-        return healed
-
-    def _restore(self, key: frozenset[str]) -> bool:
-        """Bring one partition-owned link back up, unless crash-held."""
-        if self.crashed_guard is not None and any(
-            self.crashed_guard(node) for node in key
-        ):
-            return False
-        a, b = tuple(key)
-        link = self.network.topology.link(a, b)
-        if link.up:
-            return False
-        link.up = True
-        return True
+            if sum(1 for group in materialized if ends & group) >= 2:
+                links.append(link)
+        return links
 
     def _apply(self, spec: PartitionSpec) -> None:
-        spec.links_cut = self._cut_groups(spec.groups)
+        links = self._active[spec] = self._cross_links(spec.groups)
+        spec.links_cut = sum(link.up for link in links)
+        self._c_cuts.inc(spec.links_cut)
         self.partitions_applied += 1
-        self._trace_cut(spec.groups, spec.links_cut, label=spec.label)
-        self.network.topology_changed()
+        if self.tracer.enabled:
+            self.tracer.emit(
+                taxonomy.PARTITION_CUT,
+                label=spec.label,
+                groups=[sorted(group) for group in spec.groups],
+                links_cut=spec.links_cut,
+            )
+        self.network.change_links(hold=[(link, spec) for link in links])
 
-    def _heal(self, spec: PartitionSpec) -> None:
-        healed = self._release_groups(spec.groups)
+    def _heal(self, specs: list[PartitionSpec], label: str) -> int:
+        # An episode an earlier heal_now already ended releases nothing.
+        releases = [
+            (link, spec)
+            for spec in specs
+            for link in self._active.pop(spec, ())
+        ]
+        ending = set(specs)
+        healed = sum(
+            link.released_by(ending) for link in {link for link, _ in releases}
+        )
         self.heals_applied += 1
         self._c_healed.inc(healed)
         if self.tracer.enabled:
             self.tracer.emit(
-                taxonomy.PARTITION_HEAL, label=spec.label, links_healed=healed
+                taxonomy.PARTITION_HEAL, label=label, links_healed=healed
             )
-        self.network.topology_changed()
-
-    def _trace_cut(
-        self, groups: Sequence[Iterable[str]], cut: int, label: str
-    ) -> None:
-        if self.tracer.enabled:
-            self.tracer.emit(
-                taxonomy.PARTITION_CUT,
-                label=label,
-                groups=[sorted(group) for group in groups],
-                links_cut=cut,
-            )
+        self.network.change_links(release=releases)
+        return healed

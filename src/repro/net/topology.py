@@ -3,22 +3,24 @@
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable
+from collections.abc import Hashable, Iterable, Set
 
 from repro.errors import NetworkError
 
 
 class Link:
-    """An undirected link with a latency and an up/down state.
+    """An undirected link with a latency and the set of holders keeping it down.
 
-    ``up`` is a property: flipping it bumps a generation counter shared
-    with the owning :class:`Topology`, which invalidates its path-
-    latency cache.  Partition managers and fault injectors all set
-    ``link.up`` directly, so the setter is the one choke point every
-    reachability change passes through.
+    A link is down while anyone holds it down: a crashed endpoint, a
+    partition episode, a flap window — each is one hashable holder,
+    and ``up`` is the read-only fact "no holders".  Holders change in
+    one place only, :meth:`repro.net.network.Network.change_links`,
+    which resumes the reconnected channels before it returns.  An
+    up/down transition bumps a generation counter shared with the
+    owning :class:`Topology`, which invalidates its path-latency cache.
     """
 
-    __slots__ = ("a", "b", "latency", "_up", "_version")
+    __slots__ = ("a", "b", "latency", "_holders", "_version")
 
     def __init__(self, a: str, b: str, latency: float) -> None:
         if latency < 0:
@@ -26,7 +28,7 @@ class Link:
         self.a = a
         self.b = b
         self.latency = latency
-        self._up = True
+        self._holders: set[Hashable] = set()
         # Shared generation cell; re-bound to the topology's cell when
         # the link is added to one.  A standalone link gets its own.
         self._version = [0]
@@ -34,12 +36,20 @@ class Link:
     @property
     def up(self) -> bool:
         """Whether the link currently carries traffic."""
-        return self._up
+        return not self._holders
 
-    @up.setter
-    def up(self, value: bool) -> None:
-        if value != self._up:
-            self._up = value
+    def released_by(self, holders: Set[Hashable]) -> bool:
+        """True if releasing ``holders`` brings this down link up."""
+        return bool(self._holders) and self._holders <= holders
+
+    def _change(self, holder: Hashable, hold: bool) -> None:
+        # Network.change_links only: nothing else may flip a link.
+        was_up = not self._holders
+        if hold:
+            self._holders.add(holder)
+        else:
+            self._holders.discard(holder)
+        if was_up != (not self._holders):
             self._version[0] += 1
 
     def endpoints(self) -> frozenset[str]:
@@ -135,34 +145,6 @@ class Topology:
             return self._links[frozenset((a, b))]
         except KeyError:
             raise NetworkError(f"no link {a}-{b}") from None
-
-    def set_link_up(self, a: str, b: str, up: bool) -> None:
-        """Set the up/down state of one link."""
-        self.link(a, b).up = up
-
-    def cut(self, group_a: Iterable[str], group_b: Iterable[str]) -> int:
-        """Bring down every link crossing between the two groups.
-
-        Returns the number of links taken down.  Used by the partition
-        manager to sever the network into components.
-        """
-        set_a, set_b = set(group_a), set(group_b)
-        count = 0
-        for link in self._links.values():
-            ends = link.endpoints()
-            if ends & set_a and ends & set_b and link.up:
-                link.up = False
-                count += 1
-        return count
-
-    def heal(self) -> int:
-        """Bring every link back up; returns how many changed state."""
-        count = 0
-        for link in self._links.values():
-            if not link.up:
-                link.up = True
-                count += 1
-        return count
 
     # -- queries -------------------------------------------------------
 

@@ -400,7 +400,7 @@ class AvailabilityAccountant:
     def _on_heal(self, event: dict[str, Any]) -> None:
         label = str(event.get("label", ""))
         if label == "(now)":
-            # heal_now releases every active claim at once.
+            # heal_now ends every active episode at once.
             self._episodes.clear()
         else:
             stack = self._episodes.get(label)

@@ -13,7 +13,7 @@ nondeterminism into simulator paths.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Hashable, Iterable
 from typing import Any, Protocol, runtime_checkable
 
 
@@ -117,14 +117,19 @@ class TransportProtocol(Protocol):
 
     def send(self, src: str, dst: str, kind: str, payload: Any) -> Any: ...
 
-    def topology_changed(self) -> None:
-        """Resume the channels a link-state change reconnected.
+    def change_links(
+        self,
+        hold: Iterable[tuple[Any, Hashable]] = (),
+        release: Iterable[tuple[Any, Hashable]] = (),
+    ) -> None:
+        """Apply ``(link, holder)`` holds and releases, then resume.
 
-        The caller's side of per-channel FIFO: every flip of a link's
-        ``up`` flag is followed by this call in the same event, before
-        anything is sent.  The transport consults connectivity only
-        when a message is sent and when it arrives, and relies on a
-        connected channel having nothing queued at either edge.
+        The only way link state changes: a link is down while any
+        holder holds it, and every channel the change reconnected is
+        resumed before this returns.  The transport consults
+        connectivity only when a message is sent and when it arrives,
+        and so can rely on a connected channel having nothing queued
+        at either edge.
         """
         ...
 

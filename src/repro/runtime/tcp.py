@@ -24,11 +24,12 @@ delivery via ``down_guard`` *before* the transport's intercept, so a
 crashed node can never acknowledge a packet its database never saw.
 
 The sim-style fault path still works too, by the inherited channel
-rule: ``fail_node`` marks links down, sends wait at the sender's edge
-and ``topology_changed`` releases them through this class's
-transmission override — onto the socket — while a frame that came off
-the socket during the outage waits at the receiver's edge and is
-handed to the handler at the heal, not encoded and sent again.
+rule: ``fail_node`` holds the node's links down, sends wait at the
+sender's edge and the inherited ``change_links`` releases them through
+this class's transmission override — onto the socket — while a frame
+that came off the socket during the outage waits at the receiver's
+edge and is handed to the handler at the heal, not encoded and sent
+again.
 """
 
 from __future__ import annotations

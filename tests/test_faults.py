@@ -175,21 +175,28 @@ class TestLinkFlaps:
             net, FaultPlan(flaps=(LinkFlap(10.0, "A", "B", 5.0),))
         )
         injector.install()
-        sim.schedule_at(5.0, lambda: setattr(topo.link("A", "B"), "up", False))
+        other = [(topo.link("A", "B"), "someone else")]
+        sim.schedule_at(5.0, lambda: net.change_links(hold=other))
         sim.run()
         assert not topo.link("A", "B").up  # not the flap's to revive
+        assert net.metrics.value("fault.flaps") == 0  # no up->down of its own
 
-    def test_revive_guard_vetoes_the_flap_up(self):
+    def test_another_holder_outlasts_the_flap_up(self):
+        """A holder that takes the link mid-flap keeps it down past
+        the flap's window; the link comes up when that holder lets go."""
         sim, topo, net = make_net()
         net.register("A", lambda m: None)
         net.register("B", lambda m: None)
         injector = attach_injector(
             net, FaultPlan(flaps=(LinkFlap(10.0, "A", "B", 5.0),))
         )
-        injector.revive_guard = lambda a, b: False
         injector.install()
+        other = [(topo.link("A", "B"), "someone else")]
+        sim.schedule_at(12.0, lambda: net.change_links(hold=other))
         sim.run()
         assert not topo.link("A", "B").up
+        net.change_links(release=other)
+        assert topo.link("A", "B").up
 
 
 class TestReliableTransport:
@@ -222,10 +229,10 @@ class TestReliableTransport:
         net.register("B", received.append)
         net.register("A", lambda m: None)
         transport = ReliableTransport(net, ReliableConfig(base_rto=2.0))
-        topo.link("A", "B").up = False
+        outage = [(topo.link("A", "B"), "outage")]
+        net.change_links(hold=outage)
         net.send("A", "B", "m", 1)  # held by the network
-        sim.schedule_at(50.0, lambda: setattr(topo.link("A", "B"), "up", True))
-        sim.schedule_at(50.0, net.topology_changed)
+        sim.schedule_at(50.0, lambda: net.change_links(release=outage))
         sim.run()
         assert [m.payload for m in received] == [1]
         assert transport.exhausted == 0

@@ -19,6 +19,14 @@ def make_net(nodes=("A", "B", "C"), latency=1.0, topology=None):
     return sim, topo, Network(sim, topo)
 
 
+def hold(net, a, b, holder="test"):
+    net.change_links(hold=[(net.topology.link(a, b), holder)])
+
+
+def release(net, a, b, holder="test"):
+    net.change_links(release=[(net.topology.link(a, b), holder)])
+
+
 class TestTopology:
     def test_full_mesh_links(self):
         topo = Topology.full_mesh(["a", "b", "c"])
@@ -49,23 +57,43 @@ class TestTopology:
     def test_reachability_respects_down_links(self):
         topo = Topology.line(["a", "b", "c"])
         assert topo.reachable("a", "c")
-        topo.set_link_up("b", "c", False)
+        hold(Network(Simulator(), topo), "b", "c")
         assert not topo.reachable("a", "c")
         assert topo.reachable("a", "b")
 
     def test_cut_and_heal(self):
         topo = Topology.full_mesh(["a", "b", "c", "d"])
-        cut = topo.cut({"a", "b"}, {"c", "d"})
+        manager = PartitionManager(Network(Simulator(), topo))
+        cut = manager.partition_now([{"a", "b"}, {"c", "d"}])
         assert cut == 4
         assert not topo.reachable("a", "c")
         assert topo.reachable("a", "b")
-        healed = topo.heal()
+        healed = manager.heal_now()
         assert healed == 4
         assert topo.reachable("a", "c")
 
+    def test_link_is_down_while_anyone_holds_it(self):
+        topo = Topology.full_mesh(["a", "b"])
+        net = Network(Simulator(), topo)
+        link = topo.link("a", "b")
+        with pytest.raises(AttributeError):
+            link.up = False  # read-only: change_links is the one writer
+        hold(net, "a", "b", "first")
+        hold(net, "a", "b", "second")
+        hold(net, "a", "b", "second")  # idempotent, not counted
+        assert not link.released_by({"first"})
+        assert link.released_by({"first", "second", "bystander"})
+        release(net, "a", "b", "first")
+        assert not link.up and not topo.reachable("a", "b")
+        release(net, "a", "b", "second")
+        assert link.up and topo.reachable("a", "b")
+        assert not link.released_by({"second"})  # already up
+
     def test_components(self):
         topo = Topology.full_mesh(["a", "b", "c", "d"])
-        topo.cut({"a"}, {"b", "c", "d"})
+        PartitionManager(Network(Simulator(), topo)).partition_now(
+            [{"a"}, {"b", "c", "d"}]
+        )
         comps = sorted(topo.components(), key=len)
         assert comps[0] == {"a"}
         assert comps[1] == {"b", "c", "d"}
@@ -108,9 +136,9 @@ class TestNetworkDelivery:
         net.register("c", lambda m: received.append(m.payload))
         net.register("a", lambda m: None)
         net.register("b", lambda m: None)
-        topo.set_link_up("a", "b", False)  # force the slow route
+        hold(net, "a", "b")  # force the slow route
         net.send("a", "c", "m", 1)
-        topo.set_link_up("a", "b", True)  # fast route back
+        release(net, "a", "b")  # fast route back
         net.send("a", "c", "m", 2)
         sim.run()
         assert received == [1, 2]

@@ -55,6 +55,17 @@ class TestCrash:
         assert db.network.held_count() > 0
         assert db.nodes["C"].store.read("x") == 1
 
+    def test_loopback_landing_on_a_crashed_node_is_counted_not_held(self):
+        """A loopback never crosses a link, so no hold stops it: sent
+        before the crash and due after it, it is lost with the node's
+        volatile state — and shows up in a counter."""
+        db = make_db()
+        db.network.send("B", "B", "anything", None)
+        db.fail_node("B")
+        db.quiesce()
+        assert db.network.held_count() == 0
+        assert db.metrics.value("node.dropped_while_down") == 1
+
     def test_double_fail_is_idempotent(self):
         db = make_db()
         db.fail_node("B")

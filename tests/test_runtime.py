@@ -518,8 +518,10 @@ def test_transport_conformance(backend):
     backend.on_runtime(lambda: burst(0))
     assert backend.settle(lambda: received == [0, 1, 2, 3, 4])
 
+    link = topology.link("A", "B")
+
     def cut_and_send():
-        topology.set_link_up("A", "B", False)
+        net.change_links(hold=[(link, "cut")])
         burst(5)
 
     backend.on_runtime(cut_and_send)
@@ -527,8 +529,7 @@ def test_transport_conformance(backend):
     assert received == [0, 1, 2, 3, 4]  # held, not lost, not delivered
 
     def heal():
-        topology.set_link_up("A", "B", True)
-        net.topology_changed()
+        net.change_links(release=[(link, "cut")])
 
     backend.on_runtime(heal)
     assert backend.settle(lambda: received == list(range(10)))
@@ -550,8 +551,8 @@ def test_transport_conformance(backend):
     assert backend.settle(lambda: len(wire) == 5)  # 10..14 crossed
 
     def cut_arrive_and_send():
-        topology.set_link_up("A", "B", False)
-        net.topology_changed()
+        # Two holders on the one link, as when a flap overlaps a crash.
+        net.change_links(hold=[(link, "cut"), (link, "second holder")])
         arrivals(2)  # 10, 11 arrive during the cut
         net.send("A", "B", "m", 15)  # sent during the cut
         net.send("A", "B", "m", 16)
@@ -561,6 +562,13 @@ def test_transport_conformance(backend):
     assert received == list(range(10))
     sent_before_heal = frames_sent.value
     backend.on_runtime(heal)
+    # The first release resumes nothing: someone still holds the link.
+    assert not link.up and net.held_count() == 4
+    assert received == list(range(10))
+    assert frames_sent.value == sent_before_heal
+    backend.on_runtime(
+        lambda: net.change_links(release=[(link, "second holder")])
+    )
     # Stopped arrivals are handed over at once; they are not re-sent.
     assert received == list(range(12))
     assert net.held_count() == 0

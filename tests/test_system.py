@@ -290,11 +290,11 @@ class TestCustomTopology:
         db.add_fragment("F", agent="ag", objects=["x"])
         db.load({"x": 0})
         db.finalize()
-        topo.set_link_up("B", "C", False)
+        outage = [(topo.link("B", "C"), "outage")]
+        db.network.change_links(hold=outage)
         db.submit_update("ag", write_body("x", 1), writes=["x"])
         db.run(until=20)
         assert db.nodes["C"].store.read("x") == 0
-        topo.set_link_up("B", "C", True)
-        db.network.topology_changed()
+        db.network.change_links(release=outage)
         db.quiesce()
         assert db.nodes["C"].store.read("x") == 1
