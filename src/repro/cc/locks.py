@@ -33,11 +33,21 @@ class LockTable:
     queued writer).  ``S -> X`` upgrade is granted when the requester is
     the sole holder; otherwise it waits at the *front* of the queue
     (upgrades get priority since the requester already blocks others).
+
+    A release costs what the transaction touched, not what the table
+    has seen: ``_touched`` indexes the objects each transaction holds
+    or waits on.  Only those can change when it lets go — between
+    calls the front of every queue is blocked, so draining any other
+    object grants nothing.
     """
 
     def __init__(self) -> None:
         self._holders: dict[str, dict[str, LockMode]] = defaultdict(dict)
         self._queue: dict[str, list[_Waiter]] = defaultdict(list)
+        # Objects in first-locked order: the order a release visits a
+        # transaction's objects in, and so the order of its grants.
+        self._rank: dict[str, int] = {}
+        self._touched: dict[str, set[str]] = defaultdict(set)
         self.grants = 0
         self.waits = 0
         self.upgrades = 0
@@ -54,6 +64,8 @@ class LockTable:
         held = holders.get(txn)
         if held is LockMode.X or held is mode:
             return True
+        self._rank.setdefault(obj, len(self._rank))
+        self._touched[txn].add(obj)
         if held is LockMode.S and mode is LockMode.X:
             others = [t for t in holders if t != txn]
             if not others:
@@ -85,13 +97,17 @@ class LockTable:
         in grant order, so the scheduler can resume those transactions.
         """
         granted: list[tuple[str, str, LockMode]] = []
-        for obj in list(self._holders):
-            if txn in self._holders[obj]:
-                del self._holders[obj][txn]
+        for obj in self._objects_of(txn):
+            self._holders[obj].pop(txn, None)
             queue = self._queue[obj]
             queue[:] = [w for w in queue if w.txn != txn]
             granted.extend(self._drain(obj))
+        self._touched.pop(txn, None)
         return granted
+
+    def _objects_of(self, txn: str) -> list[str]:
+        """Objects ``txn`` holds or waits on, in first-locked order."""
+        return sorted(self._touched.get(txn, ()), key=self._rank.__getitem__)
 
     def _drain(self, obj: str) -> list[tuple[str, str, LockMode]]:
         """Grant queued requests from the front while compatible."""
@@ -132,11 +148,11 @@ class LockTable:
 
     def holders_of(self, obj: str) -> dict[str, LockMode]:
         """Current holders of ``obj`` (copy)."""
-        return dict(self._holders[obj])
+        return dict(self._holders.get(obj, ()))
 
     def queued_for(self, obj: str) -> list[tuple[str, LockMode]]:
         """Queued waiters for ``obj``, front first."""
-        return [(w.txn, w.mode) for w in self._queue[obj]]
+        return [(w.txn, w.mode) for w in self._queue.get(obj, ())]
 
     def blockers_of(self, txn: str, obj: str, mode: LockMode) -> set[str]:
         """Transactions ``txn`` is waiting on for ``obj``.
@@ -145,10 +161,10 @@ class LockTable:
         ahead of ``txn`` (FIFO order can itself induce waiting).
         """
         blockers: set[str] = set()
-        for holder, held in self._holders[obj].items():
+        for holder, held in self._holders.get(obj, {}).items():
             if holder != txn and not _compatible(held, mode):
                 blockers.add(holder)
-        for waiter in self._queue[obj]:
+        for waiter in self._queue.get(obj, ()):
             if waiter.txn == txn:
                 break
             if not (_compatible(waiter.mode, mode)):
@@ -158,7 +174,7 @@ class LockTable:
     def held_by(self, txn: str) -> list[tuple[str, LockMode]]:
         """All locks currently held by ``txn``."""
         return [
-            (obj, holders[txn])
-            for obj, holders in self._holders.items()
-            if txn in holders
+            (obj, self._holders[obj][txn])
+            for obj in self._objects_of(txn)
+            if txn in self._holders[obj]
         ]

@@ -37,7 +37,11 @@ with no comparison of send times anywhere:
 
 Under injected loss, duplication or reordering the
 :class:`~repro.net.reliable.ReliableTransport` restores the same
-contract with channel sequence numbers.
+contract with channel sequence numbers.  Its retransmit timers sleep
+while a channel is down; a resume wakes them last — sender edges,
+receiver edges, then timers — so an ack handed over at the heal has
+already retired its packet and every other timeout is measured from
+the heal, after the original was released.
 
 Observability
 -------------
@@ -219,6 +223,8 @@ class Network:
         # anything on the wire can land.  Sender edges first, so that a
         # handler replying during the hand-over finds its channel's edge
         # empty and its reply queues on the wire behind the earlier sends.
+        # The transport's parked timers last: what a handed-over ack
+        # just retired is not re-armed, and the rest run from now.
         for channel, queue in self._at_sender.items():
             if not queue:
                 continue
@@ -230,6 +236,8 @@ class Network:
             if queue and self.topology.path_latency(*channel) is not None:
                 while queue:
                     self._hand_over(self._release(queue))
+        if self.reliable is not None:
+            self.reliable.on_resume()
 
     def held_count(self) -> int:
         """Number of messages currently held due to disconnection."""

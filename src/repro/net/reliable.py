@@ -26,11 +26,19 @@ implements the assumption instead of inheriting it:
   the retransmit path covers them).
 
 Partition awareness: a retransmit timer that fires while the channel
-is disconnected re-arms without consuming a retry or sending a copy —
-the original waits at one edge of the channel and resumes at the heal
-(the network's partition semantics), and burning the retry budget
-against a partition would turn every long partition into a delivery
-failure.
+is disconnected *parks* its packet — no copy sent, no retry consumed,
+no timer re-armed, nothing left in the scheduler.  The original waits
+at one edge of the channel and resumes at the heal (the network's
+partition semantics), burning the retry budget against a partition
+would turn every long partition into a delivery failure, and polling
+a channel that cannot deliver is work proportional to the length of
+the outage.  The network wakes the transport at the end of every
+resume (:meth:`ReliableTransport.on_resume`), after it has released the
+sender edges and handed over the receiver edges: a packet whose ack
+was waiting at an edge is already retired by then, and every other
+parked packet gets a fresh ``rto(attempts)`` measured from the heal —
+longer than the round trip its released original needs, so a heal
+alone causes no retransmission and no duplicate.
 
 Transport state is middleware state: it survives node crashes (the
 paper's node model loses *database* state, not the network substrate's
@@ -94,7 +102,11 @@ class ReliableConfig:
 
 
 class _Outstanding:
-    """Sender-side state of one unacknowledged packet."""
+    """Sender-side state of one unacknowledged packet.
+
+    ``timer`` is None while the packet is parked on a disconnected
+    channel.
+    """
 
     __slots__ = ("packet", "attempts", "timer")
 
@@ -132,6 +144,9 @@ class ReliableTransport:
         # Sender side: per-channel next seqno and unacked packets.
         self._next_cseq: dict[tuple[str, str], int] = {}
         self._outstanding: dict[tuple[str, str], dict[int, _Outstanding]] = {}
+        # Channels with a parked packet, in first-parked order.
+        self._parked: dict[tuple[str, str], None] = {}
+        self._labels: dict[tuple[str, tuple[str, str]], str] = {}
         # Receiver side: per-channel cursor and reorder buffer.
         self._recv: dict[tuple[str, str], _RecvChannel] = {}
         self.retransmits = 0
@@ -179,11 +194,16 @@ class ReliableTransport:
         self._arm_timer(channel, entry)
 
     def _arm_timer(self, channel: tuple[str, str], entry: _Outstanding) -> None:
-        src, dst = channel
+        kind = entry.packet.kind
+        label = self._labels.get((kind, channel))
+        if label is None:
+            label = self._labels[(kind, channel)] = (
+                f"retransmit {kind} {channel[0]}->{channel[1]}"
+            )
         entry.timer = self.network.sim.schedule(
             self.config.rto(entry.attempts),
             lambda: self._on_timer(channel, entry.packet.cseq),
-            label=f"retransmit {entry.packet.kind} {src}->{dst} #{entry.packet.cseq}",
+            label=label,
         )
 
     def _on_timer(self, channel: tuple[str, str], cseq: int) -> None:
@@ -193,10 +213,11 @@ class ReliableTransport:
         src, dst = channel
         if self.network.topology.path_latency(src, dst) is None:
             # Disconnected: the original (or a copy) waits at one edge
-            # of the channel and resumes at the heal.  Re-arm without
-            # consuming a retry or flooding the sender edge.
+            # of the channel and resumes at the heal.  Park until the
+            # network says the channel is back.
             self._c_paused.inc()
-            self._arm_timer(channel, entry)
+            entry.timer = None
+            self._parked[channel] = None
             return
         entry.attempts += 1
         if entry.attempts > self.config.max_retries:
@@ -231,6 +252,21 @@ class ReliableTransport:
             )
         self.network.resend(src, dst, entry.packet.kind, entry.packet)
         self._arm_timer(channel, entry)
+
+    def on_resume(self) -> None:
+        """Re-arm the parked packets of every channel that reconnected.
+
+        Called by the network as the last step of a resume, so what the
+        released edges already acknowledged is gone from
+        ``_outstanding`` and the fresh timeout runs from the heal.
+        """
+        for channel in list(self._parked):
+            if self.network.topology.path_latency(*channel) is None:
+                continue
+            del self._parked[channel]
+            for entry in self._outstanding.get(channel, {}).values():
+                if entry.timer is None:
+                    self._arm_timer(channel, entry)
 
     # -- receive side ----------------------------------------------------
 
@@ -331,7 +367,12 @@ class ReliableTransport:
         if not outstanding:
             return
         cum = body["cum"]
-        retired = [cseq for cseq in outstanding if cseq <= cum]
+        # Inserted in cseq order: the cumulative part is a prefix.
+        retired = []
+        for cseq in outstanding:
+            if cseq > cum:
+                break
+            retired.append(cseq)
         retired.extend(
             cseq for cseq in body["sack"] if cseq in outstanding and cseq > cum
         )

@@ -130,6 +130,14 @@ class TransportProtocol(Protocol):
         connectivity only when a message is sent and when it arrives,
         and so can rely on a connected channel having nothing queued
         at either edge.
+
+        A resume goes *sender edges → receiver edges → transport
+        timers*: queued sends go on the wire, stopped arrivals are
+        handed over, and only then does the reliable transport re-arm
+        the retransmit timers it parked while the channel was down —
+        so a packet whose ack was waiting at an edge is never re-armed,
+        and the rest time out afresh from the heal, behind their
+        released originals.
         """
         ...
 

@@ -10,6 +10,7 @@ property), and the nemesis harness's seed-reproducibility.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import FragmentedDatabase, Read, Write
 from repro.errors import NetworkError
 from repro.net.broadcast import ReliableBroadcast
 from repro.net.faults import (
@@ -228,16 +229,23 @@ class TestReliableTransport:
         received = []
         net.register("B", received.append)
         net.register("A", lambda m: None)
-        transport = ReliableTransport(net, ReliableConfig(base_rto=2.0))
+        # An outage that outlasts the whole retry budget (2 x 3.0).
+        transport = ReliableTransport(
+            net, ReliableConfig(base_rto=3.0, max_rto=3.0, max_retries=2)
+        )
         outage = [(topo.link("A", "B"), "outage")]
         net.change_links(hold=outage)
         net.send("A", "B", "m", 1)  # held by the network
         sim.schedule_at(50.0, lambda: net.change_links(release=outage))
+        sim.run(until=49.0)
+        # Parked by its first timer; nothing has fired since, and the
+        # heal is the only event left.
+        assert net.metrics.value("retrans.paused") == 1
+        assert sim.events_fired == 1 and sim.pending == 1
         sim.run()
         assert [m.payload for m in received] == [1]
-        assert transport.exhausted == 0
-        # Timers fired throughout the outage without burning retries.
-        assert net.metrics.value("retrans.paused") > 0
+        assert transport.exhausted == 0 and transport.retransmits == 0
+        assert net.metrics.value("retrans.paused") == 1
 
     def test_bounded_retries_give_up_loudly(self):
         sim, _topo, net = make_net(nodes=("A", "B"))
@@ -269,6 +277,156 @@ class TestReliableTransport:
             ReliableConfig(base_rto=10.0, max_rto=5.0)
         with pytest.raises(ValueError):
             ReliableConfig(max_retries=0)
+
+
+def parked_pair():
+    """A and B with a transport, and the hold that severs them."""
+    sim, topo, net = make_net(nodes=("A", "B"))
+    received = []
+    net.register("A", lambda m: None)
+    net.register("B", received.append)
+    transport = ReliableTransport(net, ReliableConfig(base_rto=4.0))
+    return sim, net, transport, received, [(topo.link("A", "B"), "cut")]
+
+
+def replicated_db(nodes, **kwargs):
+    """One fragment ``{x}`` homed at N0, replicated on ``nodes`` nodes."""
+    names = [f"N{i}" for i in range(nodes)]
+    db = FragmentedDatabase(names, reliable=True, **kwargs)
+    db.add_agent("ag", home_node="N0")
+    db.add_fragment("F", agent="ag", objects=["x"])
+    db.load({"x": 0})
+    db.finalize()
+    return db, names
+
+
+def bump(obj):
+    def body(_ctx):
+        value = yield Read(obj)
+        yield Write(obj, value + 1)
+    return body
+
+
+def assert_heal_cost_nothing(db, names):
+    assert [db.nodes[n].store.read("x") for n in names] == [1] * len(names)
+    assert db.transport.unacked_count() == 0
+    for counter in ("resent", "duplicates_dropped", "exhausted"):
+        assert db.metrics.value(f"retrans.{counter}") == 0, counter
+
+
+class TestParkedRetransmits:
+    """A disconnected channel costs its timers nothing until the heal."""
+
+    def test_run_under_an_unhealed_partition_terminates(self):
+        db, names = replicated_db(4)
+        db.partitions.partition_now([names[:2], names[2:]])
+        db.submit_update("ag", bump("x"), writes=["x"])
+        # N1's delivery and ack, and the two severed peers' timers.
+        db.sim.run(max_events=200_000)
+        assert db.sim.events_fired == 4 and db.sim.pending == 0
+        assert db.transport.unacked_count() == 2
+        db.partitions.heal_now()
+        db.quiesce()
+        assert_heal_cost_nothing(db, names)
+
+    @pytest.mark.parametrize("holder", ["crash", "flap"])
+    def test_crash_holds_and_flap_windows_park_like_a_partition(self, holder):
+        flaps = (LinkFlap(5.0, "N0", "N1", 200.0),) if holder == "flap" else ()
+        db, names = replicated_db(2, faults=FaultPlan(flaps=flaps))
+        db.run(until=6.0)
+        if holder == "crash":
+            db.fail_node("N1")
+        db.submit_update("ag", bump("x"), writes=["x"])
+        db.run(until=100.0)
+        assert db.metrics.value("retrans.paused") == 1
+        assert db.transport.unacked_count() == 1
+        fired = db.sim.events_fired
+        db.run(until=200.0)
+        assert db.sim.events_fired == fired
+        if holder == "crash":
+            db.recover_node("N1")
+        db.quiesce()  # the flap comes up at 205
+        assert_heal_cost_nothing(db, names)
+        assert db.metrics.value("retrans.paused") == 1
+
+    def test_ack_handed_over_at_the_heal_leaves_nothing_to_rearm(self):
+        sim, net, transport, received, cut = parked_pair()
+        net.send("A", "B", "m", 1)  # lands at 1.0, its ack is due at 2.0
+        sim.schedule_at(1.5, lambda: net.change_links(hold=cut))
+        sim.run()
+        assert [m.payload for m in received] == [1]
+        assert net.metrics.value("retrans.paused") == 1
+        assert net.held_count() == 1  # the ack, at A's edge
+        net.change_links(release=cut)
+        assert transport.unacked_count() == 0 and sim.pending == 0
+
+    def test_loss_before_the_cut_is_repaired_one_rto_after_the_heal(self):
+        sim, net, transport, received, cut = parked_pair()
+        injector = attach_injector(
+            net, FaultPlan(bursts=(LossBurst(0.0, 0.5, 1.0),)), seed=1
+        )
+        net.send("A", "B", "m", 1)
+        assert injector.dropped == 1
+        sim.schedule_at(1.0, lambda: net.change_links(hold=cut))
+        sim.schedule_at(20.0, lambda: net.change_links(release=cut))
+        sim.run()
+        assert [(m.payload, m.sent_at) for m in received] == [(1, 24.0)]
+        assert transport.retransmits == 1
+        assert transport.duplicates_dropped == 0
+        assert transport.unacked_count() == 0
+
+    def test_second_cut_before_the_rearmed_timer_fires_parks_again(self):
+        sim, net, transport, received, cut = parked_pair()
+        net.change_links(hold=cut)
+        net.send("A", "B", "m", 1)
+        sim.schedule_at(10.0, lambda: net.change_links(release=cut))
+        sim.schedule_at(10.5, lambda: net.change_links(hold=cut))
+        sim.run()  # on the wire at 10, stopped at B's edge at 11
+        assert received == [] and sim.pending == 0
+        assert net.metrics.value("retrans.paused") == 2
+        net.change_links(release=cut)
+        sim.run()
+        assert [m.payload for m in received] == [1]
+        assert transport.retransmits == 0 and transport.unacked_count() == 0
+
+    def test_partitioned_run_sends_each_message_once(self):
+        """The benchmark's sim_partition_scale shape, scaled down, in
+        counts no machine changes: polling cannot come back unnoticed."""
+        nodes, updates, fragments, objects = 8, 100, 4, 4
+        names = [f"N{i}" for i in range(nodes)]
+        db = FragmentedDatabase(names, reliable=True)
+        initial = {}
+        for f in range(fragments):
+            objs = [f"f{f}o{i}" for i in range(objects)]
+            db.add_agent(f"ag{f}", home_node=names[f * nodes // fragments])
+            db.add_fragment(f"F{f}", agent=f"ag{f}", objects=objs)
+            initial.update(dict.fromkeys(objs, 0))
+        db.load(initial)
+        db.finalize()
+        db.sim.schedule_at(
+            10.0,
+            lambda: db.partitions.partition_now(
+                [names[: nodes // 2], names[nodes // 2:]]
+            ),
+        )
+        db.sim.schedule_at(80.0, db.partitions.heal_now)
+        rng = SeededRng(7)
+        trackers = []
+        for i in range(updates):
+            f = rng.randint(0, fragments - 1)
+            obj = f"f{f}o{rng.randint(0, objects - 1)}"
+            db.run(until=i * 60.0 / updates)
+            trackers.append(db.submit_update(f"ag{f}", bump(obj), writes=[obj]))
+        db.quiesce()
+        assert all(t.succeeded for t in trackers)
+        assert db.mutual_consistency().consistent
+        # One quasi-transaction and one ack per peer, nothing twice.
+        assert db.network.messages_sent == 2 * updates * (nodes - 1)
+        assert db.metrics.value("retrans.resent") == 0
+        assert db.metrics.value("retrans.duplicates_dropped") == 0
+        # Those deliveries, plus at most one parked timer per severed
+        # peer (57.3 per update while the timers polled).
+        assert db.sim.events_fired / updates < 2 * (nodes - 1) + nodes // 2 + 1
 
 
 class TestBroadcastUnderFaults:

@@ -1,7 +1,9 @@
 """Tests for the lock table and waits-for graph."""
 
+from hypothesis import given, strategies as st
+
 from repro.cc.deadlock import WaitsForGraph, choose_victim
-from repro.cc.locks import LockMode, LockTable
+from repro.cc.locks import LockMode, LockTable, _compatible
 
 
 class TestLockTable:
@@ -178,3 +180,119 @@ class TestDrainRegressions:
         table.release_all("T0")
         assert table.holders_of("y") == {"T1": LockMode.S}
         assert table.queued_for("y") == []
+
+
+class ScanningLockTable(LockTable):
+    """The oracle: release and introspection by scanning every object
+    the table has seen, verbatim from before the per-transaction index."""
+
+    def release_all(self, txn):
+        granted = []
+        for obj in list(self._holders):
+            if txn in self._holders[obj]:
+                del self._holders[obj][txn]
+            queue = self._queue[obj]
+            queue[:] = [w for w in queue if w.txn != txn]
+            granted.extend(self._drain(obj))
+        return granted
+
+    def _drain(self, obj):
+        granted = []
+        holders = self._holders[obj]
+        queue = self._queue[obj]
+        while queue:
+            waiter = queue[0]
+            held = holders.get(waiter.txn)
+            if held is LockMode.X or held is waiter.mode:
+                queue.pop(0)
+                granted.append((waiter.txn, obj, held))
+                continue
+            if held is LockMode.S and waiter.mode is LockMode.X:
+                others = [t for t in holders if t != waiter.txn]
+                if others:
+                    break
+                holders[waiter.txn] = LockMode.X
+                self.upgrades += 1
+            else:
+                compatible = all(
+                    _compatible(m, waiter.mode)
+                    for t, m in holders.items()
+                    if t != waiter.txn
+                )
+                if not compatible:
+                    break
+                holders[waiter.txn] = waiter.mode
+                self.grants += 1
+            queue.pop(0)
+            granted.append((waiter.txn, obj, waiter.mode))
+        return granted
+
+    def held_by(self, txn):
+        return [
+            (obj, holders[txn])
+            for obj, holders in self._holders.items()
+            if txn in holders
+        ]
+
+
+TXNS = ["T0", "T1", "T2", "T3"]
+OBJS = ["w", "x", "y", "z"]
+lock_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(TXNS),
+            st.sampled_from(OBJS),
+            st.sampled_from(list(LockMode)),
+        ),
+        st.sampled_from(TXNS),  # release_all
+    ),
+    max_size=40,
+)
+
+
+class TestIndexedRelease:
+    """``release_all`` visits what the transaction touched, and nothing
+    observable tells it from the scan of the whole table."""
+
+    @given(lock_steps)
+    def test_indexed_release_matches_the_scanning_oracle(self, steps):
+        table, oracle = LockTable(), ScanningLockTable()
+        for step in steps:
+            if isinstance(step, tuple):
+                assert table.acquire(*step) == oracle.acquire(*step), step
+            else:
+                # Same grants, in the same order.
+                assert table.release_all(step) == oracle.release_all(step)
+            for obj in OBJS:
+                assert table.holders_of(obj) == oracle.holders_of(obj)
+                assert table.queued_for(obj) == oracle.queued_for(obj)
+                for txn in TXNS:
+                    for mode in LockMode:
+                        assert table.blockers_of(
+                            txn, obj, mode
+                        ) == oracle.blockers_of(txn, obj, mode)
+            for txn in TXNS:
+                assert table.held_by(txn) == oracle.held_by(txn)
+            assert (table.grants, table.waits, table.upgrades) == (
+                oracle.grants, oracle.waits, oracle.upgrades
+            )
+
+    def test_release_drains_only_what_the_transaction_touched(self):
+        table = LockTable()
+        for i in range(10_000):
+            table.acquire(f"other{i % 7}", f"o{i}", LockMode.X)
+        table.acquire("T", "mine", LockMode.X)
+        assert not table.acquire("W", "mine", LockMode.S)
+        drained = []
+        drain = table._drain
+        table._drain = lambda obj: drained.append(obj) or drain(obj)
+        assert table.release_all("T") == [("W", "mine", LockMode.S)]
+        assert drained == ["mine"]
+
+    def test_introspection_does_not_grow_the_table(self):
+        table = LockTable()
+        table.acquire("T", "x", LockMode.X)
+        assert table.holders_of("never") == {}
+        assert table.queued_for("never") == []
+        assert table.blockers_of("T", "never", LockMode.X) == set()
+        assert list(table._holders) == ["x"] and "never" not in table._queue

@@ -22,7 +22,7 @@ from repro.errors import DesignError, SimulationError
 from repro.net.broadcast import SeqPayload
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.net.reliable import RPacket
+from repro.net.reliable import ReliableConfig, ReliableTransport, RPacket
 from repro.storage.values import Version
 from repro.net.topology import Topology
 from repro.runtime.api import (
@@ -445,7 +445,11 @@ class SimBackend:
         return fn()
 
     def settle(self, predicate):
-        self.sim.run()
+        # A tick at a time, so a script can stop short of a timer.
+        for _ in range(50):
+            if predicate():
+                return True
+            self.sim.run(until=self.sim.now + 1.0)
         return predicate()
 
     def close(self):
@@ -535,9 +539,13 @@ def test_transport_conformance(backend):
     assert backend.settle(lambda: received == list(range(10)))
     assert net.held_count() == 0
 
-    # The mixed case.  Arrivals are taken off the wire here and let
-    # through by the script, so on real sockets no wall-clock race
-    # decides which side of the cut or the heal a message lands on.
+    # The mixed case, under the reliable transport.  Arrivals, acks
+    # included, are taken off the wire here and let through by the
+    # script, and no timeout is short while the channel is connected,
+    # so on real sockets no wall-clock race decides which side of the
+    # cut or the heal a message lands on or whether a timer beats an ack.
+    patient = ReliableConfig(base_rto=2000.0, max_rto=2000.0)
+    transport = ReliableTransport(net, patient)
     arrive = net._deliver
     wire = []
     net._deliver = wire.append
@@ -545,6 +553,9 @@ def test_transport_conformance(backend):
     def arrivals(count):
         for _ in range(count):
             arrive(wire.pop(0))
+
+    def value(name):
+        return net.metrics.value(name)
 
     frames_sent = net.metrics.counter("tcp.frames_sent")
     backend.on_runtime(lambda: burst(10))
@@ -554,12 +565,16 @@ def test_transport_conformance(backend):
         # Two holders on the one link, as when a flap overlaps a crash.
         net.change_links(hold=[(link, "cut"), (link, "second holder")])
         arrivals(2)  # 10, 11 arrive during the cut
-        net.send("A", "B", "m", 15)  # sent during the cut
+        # Sent during the cut, and timed out almost at once: parked.
+        transport.config = ReliableConfig(base_rto=2.0)
+        net.send("A", "B", "m", 15)
         net.send("A", "B", "m", 16)
+        transport.config = patient
 
     backend.on_runtime(cut_arrive_and_send)
     assert net.held_count() == 4 and len(wire) == 3
     assert received == list(range(10))
+    assert backend.settle(lambda: value("retrans.paused") == 2)
     sent_before_heal = frames_sent.value
     backend.on_runtime(heal)
     # The first release resumes nothing: someone still holds the link.
@@ -572,11 +587,19 @@ def test_transport_conformance(backend):
     # Stopped arrivals are handed over at once; they are not re-sent.
     assert received == list(range(12))
     assert net.held_count() == 0
-    assert backend.settle(lambda: len(wire) == 5)  # 12..14, then 15, 16
+    # 12..14, then 15, 16, and on their own channel the acks of 10, 11.
+    assert backend.settle(lambda: len(wire) == 7)
     if isinstance(net, TcpMeshNetwork):
-        assert frames_sent.value - sent_before_heal == 2
-    backend.on_runtime(lambda: arrivals(5))  # 12..14 arrive after the heal
+        assert frames_sent.value - sent_before_heal == 4
+    backend.on_runtime(lambda: arrivals(7))  # 12..14 arrive after the heal
     assert received == list(range(17))
+    assert backend.settle(lambda: len(wire) == 5)  # the acks of 12..16
+    backend.on_runtime(lambda: arrivals(5))
+    # The heal woke the parked timers and cost nothing else.
+    assert transport.unacked_count() == 0
+    assert value("retrans.resent") == 0
+    assert value("retrans.duplicates_dropped") == 0
+    assert value("retrans.paused") == 2
 
 
 # ---------------------------------------------------------------------------
