@@ -17,7 +17,8 @@ system; all checkers (:mod:`repro.core.gsg`,
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -48,6 +49,9 @@ class CommittedTxn:
     transactions).  ``stream_seq`` is the position in the fragment's
     update stream (the reliable-broadcast sequence number), None for
     read-only transactions.  ``agent`` is the initiating agent's name.
+    ``epoch`` is the stream epoch the slot was minted in: a failover
+    cut re-mints slots, so ``(epoch, stream_seq)`` names the slot for
+    good where ``stream_seq`` alone does not.
     """
 
     txn_id: str
@@ -59,6 +63,7 @@ class CommittedTxn:
     kind: str  # "update" | "readonly"
     reads: list[ReadObservation] = field(default_factory=list)
     writes: list[WriteRecord] = field(default_factory=list)
+    epoch: int = 0
 
     @property
     def is_update(self) -> bool:
@@ -78,15 +83,51 @@ class InstallRecord:
 
 
 class HistoryRecorder:
-    """Collects the global history of a simulated run."""
+    """Collects the global history of a run.
+
+    The whole run by default: the serializability oracles read every
+    commit and install.  A served system calls :meth:`keep_window`.
+    """
 
     def __init__(self) -> None:
         self.committed: list[CommittedTxn] = []
-        self.installs: list[InstallRecord] = []
+        self.installs: list[InstallRecord] | deque[InstallRecord] = []
         self._by_id: dict[str, CommittedTxn] = {}
-        self.aborted: list[tuple[str, str]] = []  # (txn_id, reason)
-        self.rejected: list[tuple[str, str]] = []  # (txn_id, reason)
+        # (txn_id, reason) pairs.
+        self.aborted: list[tuple[str, str]] | deque[tuple[str, str]] = []
+        self.rejected: list[tuple[str, str]] | deque[tuple[str, str]] = []
         self.orphaned: dict[str, str] = {}  # txn_id -> reason
+        self._window: int | None = None
+        self._trim_at = 0
+        self._settled_below: Callable[[str], tuple[int, int]] | None = None
+
+    def keep_window(
+        self, window: int, settled_below: Callable[[str], tuple[int, int]]
+    ) -> None:
+        """Retain the latest ``window`` records of each log, not the run.
+
+        With one exception, because ``orphaned`` must name *every*
+        acknowledged write a failover cut throws away and the cut finds
+        them by scanning ``committed``: an update leaves only once no
+        cut can reach it — it is already orphaned, or its slot
+        ``(epoch, stream_seq)`` is below ``settled_below(fragment)``.
+        A home cut off from its replicas keeps acknowledging, so its
+        commits stay, however many, until the cut has judged them.
+        """
+        self._window = window
+        self._settled_below = settled_below
+        self._trim_at = 2 * window
+        self.installs = deque(self.installs, maxlen=window)
+        self.aborted = deque(self.aborted, maxlen=window)
+        self.rejected = deque(self.rejected, maxlen=window)
+
+    @property
+    def retained(self) -> int:
+        """Records held across the four logs (the ``history.retained`` gauge)."""
+        return (
+            len(self.committed) + len(self.installs)
+            + len(self.aborted) + len(self.rejected)
+        )
 
     # -- recording ----------------------------------------------------------
 
@@ -94,6 +135,30 @@ class HistoryRecorder:
         """Record a commit at its home node."""
         self.committed.append(record)
         self._by_id[record.txn_id] = record
+        if self._window is not None and len(self.committed) >= self._trim_at:
+            self._trim()
+
+    def _trim(self) -> None:
+        """Drop what is older than the window and settled (amortised:
+        one pass per ``window`` commits)."""
+        old = len(self.committed) - self._window
+        floors: dict[str, tuple[int, int]] = {}
+        kept: list[CommittedTxn] = []
+        for record in self.committed[:old]:
+            if record.stream_seq is not None and (
+                record.txn_id not in self.orphaned
+            ):
+                floor = floors.get(record.fragment)
+                if floor is None:
+                    floor = floors[record.fragment] = self._settled_below(
+                        record.fragment
+                    )
+                if (record.epoch, record.stream_seq) >= floor:
+                    kept.append(record)
+                    continue
+            self._by_id.pop(record.txn_id, None)
+        self.committed[:old] = kept
+        self._trim_at = len(self.committed) + self._window
 
     def record_install(self, record: InstallRecord) -> None:
         """Record a quasi-transaction install at a replica."""

@@ -336,6 +336,7 @@ class DatabaseNode:
                 for obj, v in handle.reads
             ],
             writes=write_records,
+            epoch=epoch,
         )
         system.recorder.record_commit(record)
         system.recorder.record_install(

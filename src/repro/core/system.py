@@ -23,6 +23,7 @@ movement protocol (Section 4.4).
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -65,13 +66,20 @@ from repro.net.topology import Link, Topology
 from repro.net.broadcast import ReliableBroadcast
 from repro.obs import taxonomy
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import DEFAULT_RING_SIZE, LIVE_RING_SIZE, Tracer
 from repro.recovery.manager import RecoveryConfig, RecoveryManager
 from repro.replication.pipeline import PipelineConfig, ReplicationPipeline
 from repro.replication.quorum import QuorumConfig, QuorumReadManager
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import Simulator
 from repro.storage.store import ObjectStore
+
+#: What the asyncio backend retains (see ``FragmentedDatabase.__init__``):
+#: request trackers and history records kept for display, and installs
+#: per (node, fragment) between checkpoints — each checkpoint truncates
+#: that node's WAL and, behind the cluster watermark, its stream archive.
+LIVE_WINDOW = 1024
+LIVE_CHECKPOINT_EVERY = 64
 
 InstallHook = Callable[[DatabaseNode, QuasiTransaction], None]
 CorrectiveHook = Callable[[DatabaseNode, QuasiTransaction, list], None]
@@ -141,10 +149,27 @@ class FragmentedDatabase:
             self.sim: Simulator | AsyncioScheduler = AsyncioScheduler(
                 tick=tick
             )
+            # A real network is a faulty network, and a process that
+            # stays up is a process that compacts: what it retains is
+            # bounded by these, not by its uptime.  The simulator keeps
+            # everything — its serializability oracles read the whole
+            # run.  An explicit argument always wins.
+            if reliable is None:
+                reliable = True
+            if recovery is None:
+                recovery = RecoveryConfig(
+                    checkpoint_every=LIVE_CHECKPOINT_EVERY
+                )
+            window: int | None = LIVE_WINDOW
+            ring_size, exclude = LIVE_RING_SIZE, taxonomy.LIVE_EXCLUDE
         else:
             self.sim = Simulator()
+            window = None
+            ring_size, exclude = DEFAULT_RING_SIZE, taxonomy.DEFAULT_EXCLUDE
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(clock=lambda: self.sim.now)
+        self.tracer = Tracer(
+            clock=lambda: self.sim.now, ring_size=ring_size, exclude=exclude
+        )
         self.sim.tracer = self.tracer
         self.topology = topology or Topology.full_mesh(
             node_names, default_latency
@@ -192,11 +217,7 @@ class FragmentedDatabase:
         # implemented once the substrate stops granting it for free.
         self.faults = faults
         if reliable is None:
-            # A real network is a faulty network: the asyncio backend
-            # always earns the delivery assumption with the transport.
-            reliable = (runtime == "asyncio") or (
-                faults is not None and faults.message_faults
-            )
+            reliable = faults is not None and faults.message_faults
         if reliable:
             config = reliable if isinstance(reliable, ReliableConfig) else None
             self.transport: ReliableTransport | None = ReliableTransport(
@@ -240,7 +261,20 @@ class FragmentedDatabase:
         # checkpoints and pruning stay off unless the config arms them.
         self.recovery = RecoveryManager(recovery)
         self.recovery.attach(self)
-        self.trackers: list[RequestTracker] = []
+        self.trackers: list[RequestTracker] | deque[RequestTracker] = []
+        if window is not None:
+            self.trackers = deque(maxlen=window)
+            self.recorder.keep_window(
+                window, self.recovery.majority_checkpointed
+            )
+            # The flat lines, beside the recovery.* gauges on /metrics
+            # (live only: the simulator's timeline records sample every
+            # gauge, and those records are compared byte for byte).
+            self.metrics.gauge(
+                "history.retained", lambda: self.recorder.retained
+            )
+            self.metrics.gauge("trackers.retained", lambda: len(self.trackers))
+            self.metrics.gauge("trace.ring_len", lambda: len(self.tracer))
         # Partial replication (paper's conclusion: "databases that are
         # not fully replicated"): fragment -> replicating nodes.  Absent
         # entries mean full replication of that fragment.  With a

@@ -112,8 +112,12 @@ class RequestTracker:
         self.result = result
         if self.observer is not None:
             self.observer(self)
-        if self.on_done is not None:
-            self.on_done(self)
+        # Fired once, then released: a finished tracker kept for
+        # display must not pin its waiter (the front door's is an Event
+        # per request).
+        on_done, self.on_done = self.on_done, None
+        if on_done is not None:
+            on_done(self)
 
     @property
     def latency(self) -> float | None:

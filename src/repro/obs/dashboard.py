@@ -28,7 +28,11 @@ from the current file contents on every ping).
 from __future__ import annotations
 
 import html as _html
+import http.server
 import json
+import os
+import time
+from collections.abc import Callable
 from typing import Any
 
 from repro.obs import taxonomy
@@ -562,6 +566,68 @@ def dashboard_from_trace(
 # -- live server -----------------------------------------------------------
 
 
+class ResponseHandler(http.server.BaseHTTPRequestHandler):
+    """The response writer of both HTTP surfaces (this dashboard and
+    the front door, :mod:`repro.serve.app`): **one segment** per reply.
+
+    Status line, headers and body leave in a single write on a
+    ``TCP_NODELAY`` socket.  Sent as two on a Nagle socket, the body
+    waits ~40 ms for the client's delayed ACK of the headers.
+    """
+
+    disable_nagle_algorithm = True
+
+    def log_message(self, *args: Any) -> None:
+        pass  # quiet: the dashboard and the metrics are the output
+
+    def send_body(self, code: int, body: bytes, content_type: str) -> None:
+        self.send_response(code)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        # end_headers() with the body riding in the same write.
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
+
+    def send_json(self, code: int, payload: Any) -> None:
+        body = json.dumps(payload, default=str).encode()
+        self.send_body(code, body, "application/json")
+
+    def send_html(self, page: str) -> None:
+        self.send_body(200, page.encode(), "text/html; charset=utf-8")
+
+    def stream_events(
+        self, probe: Callable[[], Any], interval: float, max_pings: int | None
+    ) -> None:
+        """Server-sent events: ``data: grew`` whenever ``probe()`` changes.
+
+        The page's inline script reloads on each ping.  Ends after
+        ``max_pings`` (tests), when the client goes away, or when the
+        probe raises ``OSError`` (the watched file vanished).
+        """
+        try:
+            # Read before the headers go: whatever happens after the
+            # client sees the stream open must produce a ping.
+            last = probe()
+            self.send_response(200)
+            self.send_header("Content-Type", "text/event-stream")
+            self.send_header("Cache-Control", "no-cache")
+            self.end_headers()
+            # An EventSource blocks until the status line arrives: it
+            # must not sit in a write buffer waiting for the first ping.
+            self.wfile.flush()
+            pings = 0
+            while max_pings is None or pings < max_pings:
+                time.sleep(interval)
+                now = probe()
+                if now != last:
+                    last = now
+                    self.wfile.write(b"data: grew\n\n")
+                    self.wfile.flush()
+                    pings += 1
+        except OSError:
+            pass
+
+
 def serve_dashboard(
     trace_path: str,
     timeline_path: str | None = None,
@@ -579,27 +645,13 @@ def serve_dashboard(
     tests.  Returns the configured ``ThreadingHTTPServer`` — call
     ``serve_forever()`` on it (the CLI does).
     """
-    import http.server
-    import os
-    import time
 
-    class Handler(http.server.BaseHTTPRequestHandler):
-        def log_message(self, *args: Any) -> None:
-            pass  # keep the CLI quiet; the dashboard is the output
-
-        def _send(self, body: bytes, content_type: str) -> None:
-            self.send_response(200)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
+    class Handler(ResponseHandler):
         def do_GET(self) -> None:
             if self.path in ("/", "/index.html"):
-                page = dashboard_from_trace(
-                    trace_path, timeline_path, live=True
+                self.send_html(
+                    dashboard_from_trace(trace_path, timeline_path, live=True)
                 )
-                self._send(page.encode("utf-8"), "text/html; charset=utf-8")
             elif self.path == "/data.json":
                 from repro.obs.timeline import load_jsonl
 
@@ -607,33 +659,15 @@ def serve_dashboard(
                 records = (
                     load_jsonl(timeline_path) if timeline_path else None
                 )
-                body = json.dumps(
-                    build_dashboard_data(events, records), sort_keys=True
-                ).encode("utf-8")
-                self._send(body, "application/json")
+                self.send_json(200, build_dashboard_data(events, records))
             elif self.path == "/events":
-                self.send_response(200)
-                self.send_header("Content-Type", "text/event-stream")
-                self.send_header("Cache-Control", "no-cache")
-                self.end_headers()
-                last_size = os.path.getsize(trace_path)
-                pings = 0
-                while max_pings is None or pings < max_pings:
-                    time.sleep(poll_interval)
-                    try:
-                        size = os.path.getsize(trace_path)
-                    except OSError:
-                        break
-                    if size != last_size:
-                        last_size = size
-                        try:
-                            self.wfile.write(b"data: grew\n\n")
-                            self.wfile.flush()
-                        except (BrokenPipeError, ConnectionResetError):
-                            break
-                        pings += 1
+                self.stream_events(
+                    lambda: os.path.getsize(trace_path),
+                    poll_interval,
+                    max_pings,
+                )
             else:
-                self.send_error(404)
+                self.send_json(404, {"error": f"no such page {self.path!r}"})
 
     server = http.server.ThreadingHTTPServer((host, port), Handler)
     server.daemon_threads = True

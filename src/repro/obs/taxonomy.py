@@ -120,3 +120,12 @@ ALL_EVENT_TYPES = tuple(
 #: ``sim.fire`` is one event per simulator callback — megabytes per
 #: run — so it is opt-in (``tracer.exclude.discard(SIM_FIRE)``).
 DEFAULT_EXCLUDE = frozenset({SIM_FIRE})
+
+#: What the asyncio backend's tracer suppresses: the firehose plus the
+#: per-frame wire chatter.  Heartbeats alone are ~1 500 ``message.*``
+#: events a second on an *idle* five-node cluster — they would push a
+#: failover out of the ring within a minute — and the ring's readers
+#: (auditor, availability accountant, dashboard) use none of the
+#: three; the ``net.*``/``retrans.*`` counters carry the totals.
+#: Opt back in with ``tracer.exclude.discard(MESSAGE_SEND)``.
+LIVE_EXCLUDE = DEFAULT_EXCLUDE | {MESSAGE_SEND, MESSAGE_DELIVER, RETRANS_ACK}

@@ -27,6 +27,11 @@ from repro.obs.taxonomy import DEFAULT_EXCLUDE
 
 DEFAULT_RING_SIZE = 65536
 
+#: Ring capacity on the asyncio backend: what the dashboard, the ring's
+#: one reader there, renders — a process that stays up keeps the ring
+#: full for good, so its size is resident memory (~450 B a slot).
+LIVE_RING_SIZE = 16384
+
 #: Tracers with an open JSONL sink, flushed at interpreter exit so an
 #: abnormal termination (uncaught exception, SystemExit mid-run) keeps
 #: the trace tail instead of losing up to ``flush_every - 1`` records

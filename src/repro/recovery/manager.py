@@ -340,6 +340,38 @@ class RecoveryManager:
         excluded = self._excluded(fragment, replicas)
         return self.tracker.watermark(fragment, replicas, excluded)
 
+    def majority_checkpointed(self, fragment: str) -> tuple[int, int]:
+        """The ``(epoch, seq)`` cursor no failover cut can start below.
+
+        It is the highest cursor that a majority of the fragment's
+        replica set holds a durable checkpoint at or past.  A
+        succession needs replies from a majority of the same set, two
+        majorities share a replica, and the successor folds the best
+        checkpoint among the replies in before it opens the new epoch
+        at its cursor — so every cut starts at or above this.  A
+        checkpoint leaves a shelf by demotion, which rewinds to a
+        cut's start, itself at or above this, or with its replica —
+        and replica sets change one member at a time, which keeps any
+        old majority and any new one overlapping.  Read off the
+        shelves, not the gossiped marks: a mark outlives a demoted
+        checkpoint.
+        """
+        system = self.system
+        replicas = system.replica_set(fragment)
+        held = sorted(
+            (
+                ckpt.cursor
+                for ckpt in (
+                    system.nodes[name].checkpoints.get(fragment)
+                    for name in replicas
+                )
+                if ckpt is not None
+            ),
+            reverse=True,
+        )
+        majority = len(replicas) // 2 + 1
+        return held[majority - 1] if len(held) >= majority else (0, 0)
+
     def _prune(self, node: "DatabaseNode", fragment: str) -> None:
         """Prune one replica's archive behind the watermark.
 

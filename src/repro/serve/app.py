@@ -29,14 +29,18 @@ import json
 import math
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any
 
 from repro.cc.ops import Read, Write
 from repro.core.system import FragmentedDatabase
 from repro.core.transaction import RequestStatus, RequestTracker
 from repro.errors import DesignError, InitiationError
-from repro.obs.dashboard import build_dashboard_data, render_html
+from repro.obs.dashboard import (
+    ResponseHandler,
+    build_dashboard_data,
+    render_html,
+)
 
 #: Default bound on concurrently queued-or-in-flight HTTP writes; the
 #: 65th concurrent write gets an immediate 503 instead of a queue slot
@@ -302,7 +306,7 @@ class FrontDoor:
         """The most recent request trackers, newest last."""
         trackers = list(self.db.trackers)[-limit:]
         return {
-            "count": len(self.db.trackers),
+            "count": self.db.metrics.value("txn.submitted"),
             "updates": [
                 {
                     "txn": t.spec.txn_id,
@@ -361,29 +365,11 @@ def _write_body(payload: dict[str, Any], obj: str):
     return body
 
 
-class _FrontDoorHandler(BaseHTTPRequestHandler):
+class _FrontDoorHandler(ResponseHandler):
     """Request plumbing; all logic lives on :class:`FrontDoor`."""
 
     frontdoor: FrontDoor  # set by the subclass FrontDoor.start() builds
     protocol_version = "HTTP/1.1"
-
-    # -- helpers ---------------------------------------------------------
-
-    def _send_json(self, code: int, payload: dict[str, Any]) -> None:
-        body = json.dumps(payload, default=str).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_html(self, html: str) -> None:
-        body = html.encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "text/html; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
 
     def _read_payload(self) -> dict[str, Any] | None:
         try:
@@ -393,9 +379,6 @@ class _FrontDoorHandler(BaseHTTPRequestHandler):
             return None
         return payload if isinstance(payload, dict) else None
 
-    def log_message(self, *args: Any) -> None:  # quiet by default
-        pass
-
     # -- verbs -----------------------------------------------------------
 
     def do_POST(self) -> None:  # noqa: N802 (http.server convention)
@@ -403,7 +386,7 @@ class _FrontDoorHandler(BaseHTTPRequestHandler):
         door._m.inc("http.requests")
         payload = self._read_payload()
         if payload is None:
-            self._send_json(400, {"error": "body must be a JSON object"})
+            self.send_json(400, {"error": "body must be a JSON object"})
             return
         if self.path == "/updates":
             code, body = door.submit_write(payload)
@@ -411,53 +394,34 @@ class _FrontDoorHandler(BaseHTTPRequestHandler):
             code, body = door.submit_read(payload)
         else:
             code, body = 404, {"error": f"no such endpoint {self.path!r}"}
-        self._send_json(code, body)
+        self.send_json(code, body)
 
     def do_GET(self) -> None:  # noqa: N802
         door = self.frontdoor
         door._m.inc("http.requests")
         if self.path == "/healthz":
-            self._send_json(200, {"ok": True, "nodes": len(door.db.nodes)})
+            self.send_json(200, {"ok": True, "nodes": len(door.db.nodes)})
         elif self.path == "/metrics":
-            self._send_json(200, door.db.metrics.snapshot())
+            self.send_json(200, door.db.metrics.snapshot())
         elif self.path == "/fragments":
-            self._send_json(200, door.fragments_payload())
+            self.send_json(200, door.fragments_payload())
         elif self.path == "/updates":
-            self._send_json(200, door.updates_payload())
+            self.send_json(200, door.updates_payload())
         elif self.path == "/data.json":
-            self._send_json(200, door.dashboard_data())
+            self.send_json(200, door.dashboard_data())
         elif self.path == "/":
-            self._send_html(door.dashboard_html())
+            self.send_html(door.dashboard_html())
         elif self.path == "/events":
-            self._serve_events()
+            # The file-watching dashboard's contract, but watching the
+            # live tracer's ``emitted`` counter instead of a file size,
+            # so the served page reloads as the system runs.
+            self.stream_events(
+                lambda: door.db.tracer.emitted,
+                door.sse_poll_interval,
+                door.sse_max_pings,
+            )
         else:
-            self._send_json(404, {"error": f"no such endpoint {self.path!r}"})
-
-    def _serve_events(self) -> None:
-        """SSE stream pinging whenever the tracer records new events.
-
-        Mirrors the file-watching dashboard's contract (``data: grew``)
-        but watches the live tracer's ``emitted`` counter instead of a
-        file size, so the served page reloads as the system runs.
-        """
-        door = self.frontdoor
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.end_headers()
-        last = door.db.tracer.emitted
-        pings = 0
-        try:
-            while door.sse_max_pings is None or pings < door.sse_max_pings:
-                time.sleep(door.sse_poll_interval)
-                now = door.db.tracer.emitted
-                if now != last:
-                    last = now
-                    self.wfile.write(b"data: grew\n\n")
-                    self.wfile.flush()
-                    pings += 1
-        except (BrokenPipeError, ConnectionError, OSError):
-            pass  # client went away
+            self.send_json(404, {"error": f"no such endpoint {self.path!r}"})
 
 
 def serve_frontdoor(

@@ -194,6 +194,34 @@ class TestServeDashboard:
             server.server_close()
             thread.join(timeout=5)
 
+    def test_sse_headers_arrive_before_the_first_ping(self, tmp_path):
+        """An EventSource blocks until the status line arrives, so the
+        stream's headers must leave at once — not with the first ping."""
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("", encoding="utf-8")
+        server = serve_dashboard(
+            str(trace), host="127.0.0.1", port=0,
+            poll_interval=0.05, max_pings=1,
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            base = f"http://127.0.0.1:{server.server_address[1]}"
+            # urlopen returns once the headers are in; the file has not
+            # grown yet, so no ping can have carried them.
+            with urllib.request.urlopen(
+                f"{base}/events", timeout=5
+            ) as response:
+                assert response.status == 200
+                assert response.headers["Content-Type"] == "text/event-stream"
+                with open(trace, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps({"type": "x", "t": 1.0}) + "\n")
+                assert response.readline().startswith(b"data: grew")
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
     def test_unknown_path_is_404(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         trace.write_text("", encoding="utf-8")

@@ -88,6 +88,39 @@ class TestHistoryRecorder:
         assert recorder.aborted == [("T9", "deadlock")]
         assert recorder.rejected == [("T10", "partitioned")]
 
+    def test_window_drops_the_settled_and_keeps_the_orphanable(self):
+        recorder = HistoryRecorder()
+        # F1 is settled below slot (epoch 0, seq 6); F2 not at all.
+        recorder.keep_window(4, {"F1": (0, 6), "F2": (0, 0)}.__getitem__)
+        for i in range(8):
+            frag = "F1" if i % 2 == 0 else "F2"
+            recorder.record_commit(
+                CommittedTxn(
+                    f"T{i}", "ag", frag, "A", float(i), stream_seq=i,
+                    kind="update", writes=[WriteRecord("o", i, i)],
+                )
+            )
+            recorder.record_abort(f"A{i}", "deadlock")
+        # Trimmed at two windows: of the four oldest, F1's T0 and T2
+        # went, F2's T1 and T3 stay — a cut could still reach them.
+        assert [t.txn_id for t in recorder.committed] == [
+            "T1", "T3", "T4", "T5", "T6", "T7",
+        ]
+        with pytest.raises(KeyError):
+            recorder.transaction("T0")
+        assert recorder.transaction("T1").stream_seq == 1
+        assert [a for a, _ in recorder.aborted] == ["A4", "A5", "A6", "A7"]
+        # Once the cut has judged them, they go with the next trim.
+        recorder.record_orphan("T1", "cut")
+        recorder.record_orphan("T3", "cut")
+        for i in range(8, 12):
+            recorder.record_commit(
+                CommittedTxn(f"R{i}", "ag", None, "A", float(i), None, "readonly")
+            )
+        assert [t.txn_id for t in recorder.committed][:2] == ["T5", "T6"]
+        assert set(recorder.orphaned) == {"T1", "T3"}
+        assert recorder.retained == len(recorder.committed) + 4
+
 
 class TestRequestTracker:
     def make_tracker(self):
@@ -109,6 +142,7 @@ class TestRequestTracker:
         tracker.finish(RequestStatus.REJECTED, 11.0, reason="no")
         assert seen == [tracker]
         assert not tracker.succeeded
+        assert tracker.on_done is None  # fired once, then released
 
     def test_latency_none_while_pending(self):
         tracker = self.make_tracker()

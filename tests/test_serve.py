@@ -4,7 +4,9 @@ Each test boots a real asyncio-backed database with a FrontDoor and
 speaks actual HTTP to it — the same path `repro serve` exposes.
 """
 
+import http.client
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -21,6 +23,7 @@ from repro.core.transaction import (
     TransactionSpec,
 )
 from repro.serve import FrontDoor
+from repro.serve.app import _FrontDoorHandler
 
 
 def build_db(availability=True, nodes=5):
@@ -264,6 +267,71 @@ def test_sse_pings_on_new_trace_events(served):
         assert line.strip() == b"data: grew"
 
 
+def test_keep_alive_writes_are_not_paced_by_delayed_ack(served):
+    """The 40 ms stall: headers and body sent as two segments on a
+    Nagle socket made every reply on a keep-alive connection wait for
+    the client's delayed ACK (50 writes took 2.2 s; they take < 0.2 s)."""
+    db, door = served
+    conn = http.client.HTTPConnection("127.0.0.1", door.port, timeout=10)
+    body = json.dumps({"object": "x", "delta": 1})
+    try:
+        started = time.perf_counter()
+        for _ in range(50):
+            conn.request("POST", "/updates", body)
+            response = conn.getresponse()
+            assert response.status == 200, response.read()
+            response.read()
+        elapsed = time.perf_counter() - started
+    finally:
+        conn.close()
+    assert elapsed < 1.0, elapsed
+
+
+def test_each_reply_is_one_send_on_a_nodelay_socket(served, monkeypatch):
+    db, door = served
+    nodelay, sends = [], []
+
+    class CountingWriter:
+        def __init__(self, wfile):
+            self._wfile = wfile
+
+        def write(self, data):
+            sends.append(len(data))
+            return self._wfile.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self._wfile, name)
+
+    setup = _FrontDoorHandler.setup
+
+    def counting_setup(self):
+        setup(self)
+        nodelay.append(
+            self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        self.wfile = CountingWriter(self.wfile)
+
+    monkeypatch.setattr(_FrontDoorHandler, "setup", counting_setup)
+    conn = http.client.HTTPConnection("127.0.0.1", door.port, timeout=10)
+    try:
+        for method, path, body, status in (
+            ("POST", "/updates", {"object": "x", "delta": 1}, 200),  # JSON
+            ("GET", "/", None, 200),  # HTML, far larger than one buffer
+            ("POST", "/updates", {"object": "nope", "delta": 1}, 404),
+            ("POST", "/updates", {"object": "x"}, 400),
+        ):
+            before = len(sends)
+            conn.request(method, path, body and json.dumps(body))
+            response = conn.getresponse()
+            payload = response.read()
+            assert response.status == status, payload
+            assert len(sends) - before == 1, (path, status, sends[before:])
+            assert sends[-1] > len(payload)  # headers rode along
+    finally:
+        conn.close()
+    assert nodelay == [1]
+
+
 def test_overload_returns_503():
     db = build_db(availability=False)
     db.start_runtime()
@@ -295,3 +363,192 @@ def test_live_chaos_driver_rides_a_failover():
     assert result["failovers"] >= 1
     assert result["audit_ok"], result
     assert result["respects_guarantees"]
+
+
+# ---------------------------------------------------------------------------
+# What a served system retains is bounded by configuration, not uptime
+
+
+def retained(db):
+    """Sizes of everything a write leaves behind, read on the loop."""
+
+    def read():
+        gauges = db.metrics.snapshot()["gauges"]
+        return {
+            "wal": sum(len(node.wal) for node in db.nodes.values()),
+            "archive": gauges["recovery.archive_entries"],
+            "buffer": gauges["recovery.buffer_entries"],
+            "trackers": len(db.trackers),
+            "history": len(db.recorder.committed) + len(db.recorder.installs),
+            "ring": len(db.tracer),
+        }
+
+    return db.call_on_runtime(read)
+
+
+def test_retention_is_flat_across_3000_writes_and_a_kill():
+    from repro.core.system import LIVE_CHECKPOINT_EVERY, LIVE_WINDOW
+    from repro.obs.trace import LIVE_RING_SIZE
+
+    db = build_db()
+    assert db.recovery.config.checkpoint_every == LIVE_CHECKPOINT_EVERY
+    db.start_runtime()
+    db.call_on_runtime(lambda: db.availability.start(until=1e9))
+    # Not started: submit_write is the queue-and-retry path without HTTP.
+    door = FrontDoor(db, retry_interval=0.05)
+
+    def write(count):
+        for i in range(count):
+            code, body = door.submit_write({"object": "xy"[i % 2], "delta": 1})
+            assert code == 200, body
+
+    # Six (replica, fragment) logs of at most one checkpoint period
+    # each, the two loads, and slack for installs in flight and for a
+    # dead node's frozen log; an unbounded run holds 9 000 by the end.
+    per_log = 6 * LIVE_CHECKPOINT_EVERY
+    bounds = {
+        "wal": 2 * per_log,
+        "archive": 2 * per_log,
+        "buffer": per_log,
+        "trackers": LIVE_WINDOW,
+        "history": 3 * LIVE_WINDOW,  # commits trim at 2 windows + installs
+        "ring": LIVE_RING_SIZE,
+    }
+    try:
+        write(1000)
+        victim = db.agents["ag0"].home_node
+        killed_at = db.sim.now
+        db.call_on_runtime(lambda: db.hard_kill_node(victim))
+        write(500)
+        at_1500 = retained(db)
+        # Down past the grace period: the survivors stop waiting for
+        # the victim's cursor and compact past it.  (And well inside
+        # the transport's retransmit budget, ~1 300 ticks: a channel
+        # whose packets were given up on stays wedged after a revive.)
+        grace = db.recovery.config.grace
+        assert db.wait_until(lambda: db.sim.now - killed_at > grace, 10.0)
+        db.call_on_runtime(lambda: db.hard_revive_node(victim))
+        write(1500)
+        at_3000 = retained(db)
+        for name, bound in bounds.items():
+            assert at_1500[name] <= bound, (name, at_1500)
+            assert at_3000[name] <= bound, (name, at_3000)
+        gauges = db.metrics.snapshot()["gauges"]
+        assert gauges["trackers.retained"] == len(db.trackers)
+        assert gauges["trace.ring_len"] == len(db.tracer)
+        assert gauges["history.retained"] == db.recorder.retained
+        # The victim was compacted past, so it came back through a
+        # shipped checkpoint — and ended up where everyone else is.
+        assert db.metrics.value("recovery.checkpoints_shipped") >= 1
+
+        def settled():
+            for fragment, obj in (("F0", "x"), ("F1", "y")):
+                values = {
+                    db.nodes[name].store.read(obj)
+                    for name in db.replica_set(fragment)
+                }
+                if len(values) != 1:
+                    return False
+            return True
+
+        assert db.wait_until(settled, timeout=20.0)
+        home = {f: db.agent_of(f).home_node for f in ("F0", "F1")}
+        total = sum(
+            db.nodes[home[f]].store.read(obj)
+            for f, obj in (("F0", "x"), ("F1", "y"))
+        )
+        # Every acknowledged write is in the counters, bar the ones a
+        # failover cut reported as thrown away.
+        assert total == 3000 - len(db.recorder.orphaned)
+    finally:
+        db.stop_runtime()
+    db.sim.check()
+
+
+def test_the_simulator_keeps_everything_and_an_explicit_config_wins():
+    from collections import deque
+
+    from repro.obs.taxonomy import DEFAULT_EXCLUDE, LIVE_EXCLUDE
+    from repro.obs.trace import DEFAULT_RING_SIZE, LIVE_RING_SIZE
+    from repro.recovery.manager import RecoveryConfig
+
+    sim = FragmentedDatabase(["A", "B", "C"])
+    assert sim.recovery.config.armed is False
+    assert type(sim.trackers) is list
+    recorder = sim.recorder
+    assert [type(log) for log in (
+        recorder.committed, recorder.installs,
+        recorder.aborted, recorder.rejected,
+    )] == [list] * 4
+    assert sim.tracer._ring.maxlen == DEFAULT_RING_SIZE
+    assert sim.tracer.exclude == DEFAULT_EXCLUDE
+    assert "history.retained" not in sim.metrics.snapshot()["gauges"]
+
+    live = FragmentedDatabase(["A", "B", "C"], runtime="asyncio")
+    assert live.recovery.config.armed
+    assert isinstance(live.trackers, deque)
+    assert live.tracer._ring.maxlen == LIVE_RING_SIZE
+    assert live.tracer.exclude == LIVE_EXCLUDE
+
+    given = RecoveryConfig()
+    explicit = FragmentedDatabase(
+        ["A", "B", "C"], runtime="asyncio", recovery=given
+    )
+    assert explicit.recovery.config is given
+    assert explicit.recovery.config.armed is False
+
+
+def test_a_windowed_history_still_names_every_orphan(monkeypatch):
+    """A home cut off from its replicas keeps acknowledging, and every
+    one of those writes is thrown away by the failover cut.  A pure
+    count window would have evicted most of them before the cut scanned
+    for them; a commit may leave only once a majority of its replicas
+    has checkpointed past it, and here only the isolated home has."""
+    window, acked_in_isolation = 64, 300
+    monkeypatch.setattr("repro.core.system.LIVE_WINDOW", window)
+    db = build_db()
+    db.start_runtime()
+    door = FrontDoor(db, retry_interval=0.05)
+
+    def write(count):
+        for _ in range(count):
+            code, body = door.submit_write({"object": "x", "delta": 1})
+            assert code == 200, body
+
+    try:
+        write(5)
+        others = [name for name in db.nodes if name != "A"]
+        assert db.wait_until(
+            lambda: all(
+                db.nodes[n].store.read("x") == 5 for n in db.replica_set("F0")
+            ),
+            timeout=10.0,
+        )
+        db.call_on_runtime(
+            lambda: db.partitions.partition_now([["A"], others])
+        )
+        write(acked_in_isolation)  # the supervisor is not watching yet
+        assert db.agents["ag0"].home_node == "A"
+        # Several trims have run (one per window of commits) and kept
+        # them all: A checkpointed past them, a majority did not.
+        assert db.nodes["A"].checkpoints.get("F0").upto > 2 * window
+        assert len(db.recorder.committed) >= acked_in_isolation
+        db.call_on_runtime(lambda: db.availability.start(until=1e9))
+        assert db.wait_until(
+            lambda: db.agents["ag0"].home_node != "A", timeout=20.0
+        )
+        assert len(db.recorder.orphaned) == acked_in_isolation
+        assert db.metrics.value("avail.updates_discarded") >= (
+            acked_in_isolation
+        )
+        # Judged, they may go: the successor's stream is replicated and
+        # checkpointed by a majority, so the window closes again.
+        db.call_on_runtime(db.partitions.heal_now)
+        write(8 * window)
+        assert db.wait_until(
+            lambda: len(db.recorder.committed) <= 3 * window, timeout=10.0
+        ), len(db.recorder.committed)
+        assert len(db.recorder.orphaned) == acked_in_isolation
+    finally:
+        db.stop_runtime()
+    db.sim.check()
