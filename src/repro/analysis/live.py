@@ -185,7 +185,7 @@ def run_live_chaos(
     db.start_runtime()
     try:
         db.call_on_runtime(lambda: db.availability.start(until=10_000_000.0))
-        with FrontDoor(db, retry_interval=0.2, deadline=90.0) as door:
+        with FrontDoor(db, deadline=90.0) as door:
             workload = _drive_workload(
                 db, door, DEFAULT_UPDATES, DEFAULT_FRAGMENTS, DEFAULT_CLIENTS
             )

@@ -19,7 +19,9 @@ availability supervisor closes that loop:
    most-caught-up common replica is elected successor and the token is
    transported to it through the shared movement machinery
    (:meth:`MovementProtocol._transport`) — the same DEPART/ARRIVE
-   lifecycle, metrics, and traces as an operator-requested move.
+   lifecycle, metrics, and traces as an operator-requested move.  The
+   election happens as soon as every polled replica has voted; only a
+   poll still missing a vote waits out ``succession_timeout``.
 
 3. **Epoch cut** — the successor opens a new epoch at its post-poll
    stream head.  Updates the dead home committed but never propagated
@@ -77,8 +79,10 @@ class AvailabilityConfig:
 
     ``heartbeat_interval`` is both the probe period and the per-probe
     pong deadline; ``suspect_after`` consecutive misses raise the
-    suspicion.  ``succession_timeout`` bounds the cursor poll (replies
-    arriving later are ignored; an abort backs off and re-detects).
+    suspicion.  ``succession_timeout`` bounds the cursor poll: a poll
+    every polled replica has answered elects at once, any other one
+    decides at the timeout (replies arriving later are ignored; an
+    abort backs off and re-detects).
     ``takeover_delay`` is the token transport delay of the failover
     move.  After an aborted failover the probe interval multiplies by
     ``backoff`` up to ``max_backoff`` and resets on the next pong or
@@ -126,6 +130,8 @@ class _Succession:
     coordinator: str
     fragments: list[str]
     begun: float
+    #: Every replica asked to vote, the coordinator included.
+    polled: frozenset[str] = frozenset()
     replies: dict[str, dict[str, Any]] = field(default_factory=dict)
     timer: "EventHandle | None" = None
 
@@ -389,12 +395,17 @@ class AvailabilitySupervisor:
             return
         self._ballot += 1
         ballot = f"fo{self._ballot}"
+        targets: set[str] = set()
+        for fragment in fragments:
+            targets.update(system.replica_set(fragment))
+        targets.discard(home)
         state = _Succession(
             agent=agent_name,
             home=home,
             coordinator=coordinator,
             fragments=fragments,
             begun=system.sim.now,
+            polled=frozenset(targets),
         )
         self._successions[ballot] = state
         if system.tracer.enabled:
@@ -406,10 +417,6 @@ class AvailabilitySupervisor:
                 ballot=ballot,
                 fragments=fragments,
             )
-        targets: set[str] = set()
-        for fragment in fragments:
-            targets.update(system.replica_set(fragment))
-        targets.discard(home)
         request = {
             "ballot": ballot,
             "agent": agent_name,
@@ -420,15 +427,16 @@ class AvailabilitySupervisor:
             if target == coordinator:
                 continue
             system.network.send(coordinator, target, SUCC_REQ, request)
-        # The coordinator's own cursors count without a round trip.
-        self._record_reply(
-            ballot,
-            self._build_succ_reply(system.nodes[coordinator], fragments),
-        )
         state.timer = system.sim.schedule(
             self.config.succession_timeout,
             lambda: self._finish_succession(ballot),
             label=f"avail succession {agent_name}",
+        )
+        # The coordinator's own cursors count without a round trip (and
+        # decide the poll at once when it is the only replica polled).
+        self._record_reply(
+            ballot,
+            self._build_succ_reply(system.nodes[coordinator], fragments),
         )
 
     def _build_succ_reply(
@@ -471,23 +479,45 @@ class AvailabilitySupervisor:
         self._record_reply(message.payload["ballot"], message.payload)
 
     def _record_reply(self, ballot: str, reply: dict[str, Any]) -> None:
+        """Count one vote; the last one the poll waits for elects at once.
+
+        Once every polled replica has voted there is nothing left to
+        learn, so waiting out ``succession_timeout`` would only stretch
+        the outage.  A poll that cannot elect yet (a voter missing, no
+        majority, no eligible successor) keeps its timer: only the
+        deadline aborts.
+        """
         state = self._successions.get(ballot)
-        if state is not None:
-            state.replies[reply["node"]] = reply
+        if state is None:
+            return
+        state.replies[reply["node"]] = reply
+        if not state.polled <= state.replies.keys():
+            return
+        successor, _ = self._elect(state)
+        if successor is not None:
+            del self._successions[ballot]
+            state.timer.cancel()
+            self._hand_over(state, successor)
 
     def _finish_succession(self, ballot: str) -> None:
-        """Poll deadline: check quorums, elect, and move the token."""
+        """Poll deadline: elect from the replies in, or abort."""
         state = self._successions.pop(ballot, None)
         if state is None:
             return
-        state.timer = None
+        successor, reason = self._elect(state)
+        if successor is None:
+            self._abort_failover(state.agent, reason)
+        else:
+            self._hand_over(state, successor)
+
+    def _elect(self, state: _Succession) -> tuple[str | None, str]:
+        """The successor the replies so far elect, or None and why not."""
         system = self.system
         agent = system.agents[state.agent]
         if agent.home_node != state.home or any(
             agent.token_for(f).in_transit for f in state.fragments
         ):
-            self._abort_failover(state.agent, "agent moved during the poll")
-            return
+            return None, "agent moved during the poll"
         for fragment in state.fragments:
             total = len(system.replica_set(fragment))
             syncing = system.syncing_replicas.get(fragment, ())
@@ -497,12 +527,10 @@ class AvailabilitySupervisor:
                 if fragment in reply["cursors"] and name not in syncing
             ]
             if len(voters) < total // 2 + 1:
-                self._abort_failover(
-                    state.agent,
+                return None, (
                     f"no majority for {fragment!r} "
-                    f"({len(voters)}/{total // 2 + 1} of {total})",
+                    f"({len(voters)}/{total // 2 + 1} of {total})"
                 )
-                return
         candidates = [
             name
             for name, reply in state.replies.items()
@@ -514,8 +542,7 @@ class AvailabilitySupervisor:
             )
         ]
         if not candidates:
-            self._abort_failover(state.agent, "no eligible successor")
-            return
+            return None, "no eligible successor"
 
         def cursor_key(name: str) -> tuple[tuple[int, int], ...]:
             return tuple(
@@ -524,7 +551,11 @@ class AvailabilitySupervisor:
             )
 
         best = max(cursor_key(name) for name in candidates)
-        successor = min(n for n in candidates if cursor_key(n) == best)
+        return min(n for n in candidates if cursor_key(n) == best), ""
+
+    def _hand_over(self, state: _Succession, successor: str) -> None:
+        """The poll elected ``successor``: move the token there."""
+        system = self.system
         system.metrics.inc("token.moves_requested")
         if system.tracer.enabled:
             system.tracer.emit(

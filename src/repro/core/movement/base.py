@@ -108,7 +108,8 @@ class MovementProtocol:
 
         While a token is in transit, update submissions for its
         fragment are rejected (the agent is on the road; see
-        ``FragmentedDatabase.submit``).
+        ``FragmentedDatabase.submit``); the arrival wakes the waiters
+        on such refusals once ``arrive`` has run.
         """
         agent = system.agents[agent_name]
         from_node = agent.home_node
@@ -137,6 +138,7 @@ class MovementProtocol:
                     fragments=sorted(agent.fragments),
                 )
             arrive()
+            system.wake_refused()
 
         system.sim.schedule(
             transport_delay, complete, label=f"token arrival {agent_name}"

@@ -304,6 +304,9 @@ class FragmentedDatabase:
         self.availability.attach(self)
         self._install_hooks: list[tuple[str, InstallHook]] = []
         self.corrective_hooks: list[CorrectiveHook] = []
+        # One-shot (fragment, callback) waiters on a gate refusal, fired
+        # where a refusal can end (``on_refusal_end``, ``wake_refused``).
+        self._refusal_wakes: list[tuple[str, Callable[[], None]]] = []
         self._txn_counter = 0
         self._finalized = False
         self._warned_multi_fragment: set[str] = set()
@@ -662,43 +665,66 @@ class FragmentedDatabase:
         node and the token state are re-resolved each time.
         """
         agent = self.agents[spec.agent]
+        refusal = self._refusal(agent, fragment)
+        if refusal is not None:
+            cause, reason = refusal
+            if cause is RefusalCause.HOME_DOWN:
+                self.metrics.inc("avail.updates_blocked")
+            self.recorder.record_rejection(spec.txn_id, cause.value)
+            tracker.finish(
+                RequestStatus.REJECTED, self.sim.now, reason=reason,
+                cause=cause,
+            )
+            return
         node = self.nodes[agent.home_node]
-        token = agent.token_for(fragment)
-        if token.in_transit:
-            self._refuse(
-                spec, tracker, RefusalCause.TOKEN_IN_TRANSIT,
-                f"token for {fragment!r} is in transit",
-            )
-            return
-        if node.down and self.availability.enabled:
-            # With the supervisor armed the outage is bounded (failover
-            # re-homes the agent), so reject loudly instead of letting
-            # the request hang — the client can resubmit after the MTTR
-            # window.  Without a supervisor, behaviour is unchanged.
-            self.metrics.inc("avail.updates_blocked")
-            self._refuse(
-                spec, tracker, RefusalCause.HOME_DOWN,
-                f"agent home {node.name!r} is down",
-            )
-            return
         if self.pipeline.throttle_update(node, spec, tracker, fragment):
             return
         if not self.movement.before_update(self, node, spec, tracker, fragment):
             return
         self.strategy.begin_update(self, node, spec, tracker, fragment)
 
-    def _refuse(
-        self,
-        spec: TransactionSpec,
-        tracker: RequestTracker,
-        cause: RefusalCause,
-        reason: str,
-    ) -> None:
-        """Reject at the gate; ``cause`` is the decision, ``reason`` text."""
-        self.recorder.record_rejection(spec.txn_id, cause.value)
-        tracker.finish(
-            RequestStatus.REJECTED, self.sim.now, reason=reason, cause=cause
-        )
+    def _refusal(
+        self, agent: Agent, fragment: str
+    ) -> tuple[RefusalCause, str] | None:
+        """Why the gate refuses an update of ``fragment`` now, if it does."""
+        if agent.token_for(fragment).in_transit:
+            return (
+                RefusalCause.TOKEN_IN_TRANSIT,
+                f"token for {fragment!r} is in transit",
+            )
+        home = self.nodes[agent.home_node]
+        if home.down and self.availability.enabled:
+            # With the supervisor armed the outage is bounded (failover
+            # re-homes the agent), so reject loudly instead of letting
+            # the request hang — the client can resubmit after the MTTR
+            # window.  Without a supervisor, behaviour is unchanged.
+            return RefusalCause.HOME_DOWN, f"agent home {home.name!r} is down"
+        return None
+
+    def on_refusal_end(self, fragment: str, wake: Callable[[], None]) -> None:
+        """Call ``wake`` once, on the protocol thread, when the gate
+        stops refusing updates of ``fragment``.
+
+        Register from the refused tracker's ``on_done`` — the refusal's
+        own callback — so nothing that ends the refusal can run between
+        the refusal and the registration.
+        """
+        self._refusal_wakes.append((fragment, wake))
+
+    def wake_refused(self) -> None:
+        """Fire the wakes whose refusal has ended; keep the others.
+
+        Called at the only two places a refusal can end: a token's
+        arrival (after its arrive step, so a failover's epoch cut is
+        done) and a node's rejoin.  Each wake is judged by the gate's
+        own rule, so another agent's landing wakes nobody in vain.
+        """
+        waiting, self._refusal_wakes = self._refusal_wakes, []
+        for fragment, wake in waiting:
+            if self._refusal(self.agent_of(fragment), fragment) is None:
+                wake()
+            else:
+                self._refusal_wakes.append((fragment, wake))
 
     def submit_update(
         self,
@@ -944,6 +970,7 @@ class FragmentedDatabase:
         node.restore()
         self.network.change_links(release=self._crash_holds(name))
         self.recovery.catch_up(node)
+        self.wake_refused()
 
     def hard_kill_node(self, name: str) -> None:
         """Kill one node at the *socket* level (asyncio backend).

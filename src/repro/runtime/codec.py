@@ -28,6 +28,7 @@ corrupting the stream.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import struct
 from typing import Any
@@ -51,10 +52,16 @@ class WireCodec:
 
     def __init__(self) -> None:
         self._types: dict[str, type] = {}
+        # Field names per registered class, in declaration order: read
+        # once here instead of ``dataclasses.fields`` per encoded value.
+        self._fields: dict[str, tuple[str, ...]] = {}
 
     def register(self, cls: type) -> type:
         """Teach the codec one dataclass (field-wise round trip)."""
         self._types[cls.__name__] = cls
+        self._fields[cls.__name__] = tuple(
+            f.name for f in dataclasses.fields(cls)
+        )
         return cls
 
     # -- frame layer -----------------------------------------------------
@@ -131,11 +138,13 @@ class WireCodec:
         cls_name = type(value).__name__
         cls = self._types.get(cls_name)
         if cls is not None and type(value) is cls:
-            fields = _dataclass_fields(value)
             return {
                 _TAG: "dc",
                 "type": cls_name,
-                "fields": {k: self.encode(v) for k, v in fields.items()},
+                "fields": {
+                    k: self.encode(getattr(value, k))
+                    for k in self._fields[cls_name]
+                },
             }
         raise CodecError(f"unregistered payload type {cls_name!r}")
 
@@ -167,15 +176,6 @@ class WireCodec:
             fields = {k: self.decode(v) for k, v in value["fields"].items()}
             return cls(**fields)
         raise CodecError(f"unknown wire tag {tag!r}")
-
-
-def _dataclass_fields(value: Any) -> dict[str, Any]:
-    import dataclasses
-
-    return {
-        f.name: getattr(value, f.name)
-        for f in dataclasses.fields(value)
-    }
 
 
 def default_codec() -> WireCodec:

@@ -9,18 +9,23 @@ Threading model: ``ThreadingHTTPServer`` handles each request on its
 own thread, but every *protocol* action (submit, catalog-routed
 resubmit) is marshalled onto the runtime's event-loop thread through
 ``db.call_on_runtime`` — request threads only ever block on a
-``threading.Event`` that the tracker's ``on_done`` (fired on the loop
-thread) sets.  Reads of the tracer ring and the metrics registry are
-safe from any thread once the system enabled their locks (which the
-asyncio runtime does at construction).
+``threading.Event`` that the loop thread sets: the tracker's
+``on_done``, or the wake of a refused write.  Reads of the tracer ring
+and the metrics registry are safe from any thread once the system
+enabled their locks (which the asyncio runtime does at construction).
 
 Routing: the client names an **object**; the front door resolves the
 owning fragment and the controlling agent's *current* home node via
 the catalog at every attempt.  During a failover window the update
 gate rejects with a transient cause — the front door queues the
-request (bounded) and retries with a fresh transaction until the
-supervisor re-homes the agent, then the write commits at the new home.
-The client sees one slow 200, never a topology detail.
+request (bounded) and waits for the event that ends the refusal: the
+token's arrival at the successor the supervisor elected (after its
+epoch cut) or the home's rejoin.  Then it retries with a fresh
+transaction, which commits at the new home.  No timer paces the
+retry, so a write queued across a failover waits for detection
+(two missed heartbeats), one poll round trip and ``takeover_delay``,
+and nothing more.  The client sees one slow 200, never a topology
+detail.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from repro.obs.dashboard import (
 #: buffering).
 DEFAULT_MAX_QUEUED = 64
 
-DEFAULT_RETRY_INTERVAL = 0.25
 DEFAULT_DEADLINE = 30.0
 
 
@@ -61,7 +65,6 @@ class FrontDoor:
         host: str = "127.0.0.1",
         port: int = 0,
         max_queued: int = DEFAULT_MAX_QUEUED,
-        retry_interval: float = DEFAULT_RETRY_INTERVAL,
         deadline: float = DEFAULT_DEADLINE,
         sse_poll_interval: float = 0.5,
         sse_max_pings: int | None = None,
@@ -69,7 +72,6 @@ class FrontDoor:
         self.db = db
         self.host = host
         self.port = port
-        self.retry_interval = retry_interval
         self.deadline = deadline
         self.sse_poll_interval = sse_poll_interval
         self.sse_max_pings = sse_max_pings
@@ -134,8 +136,9 @@ class FrontDoor:
 
         The loop below *is* the queue-and-retry protocol: resolve the
         route fresh each attempt (the agent may have moved), submit a
-        fresh transaction, block on its terminal event, and retry on
-        transient rejections until the deadline.
+        fresh transaction, block on its terminal event, and after a
+        transient rejection block on the wake of the event that ends
+        it, then retry — until the deadline.
         """
         obj = payload.get("object")
         if not isinstance(obj, str):
@@ -170,6 +173,13 @@ class FrontDoor:
         while True:
             attempts += 1
             done = threading.Event()
+            wake = threading.Event()
+
+            def on_done(t: RequestTracker) -> None:
+                if t.cause is not None:
+                    self.db.on_refusal_end(fragment, wake.set)
+                done.set()
+
             try:
                 tracker = self.db.call_on_runtime(
                     lambda: self.db.submit_update(
@@ -177,7 +187,7 @@ class FrontDoor:
                         _write_body(payload, obj),
                         writes=[obj],
                         meta={"via": "http"},
-                        on_done=lambda _t: done.set(),
+                        on_done=on_done,
                     )
                 )
             except InitiationError as exc:
@@ -202,9 +212,12 @@ class FrontDoor:
                     "attempts": attempts,
                 }
             # Every RefusalCause heals on its own (failover completes,
-            # the control token lands), so the request is retried.
+            # the control token lands), so the request waits for that
+            # and is retried.
             transient = tracker.cause is not None
-            if not transient or time.monotonic() >= deadline:
+            if not transient or not wake.wait(
+                timeout=max(0.0, deadline - time.monotonic())
+            ):
                 code = 409 if not transient else 504
                 self._m.inc(
                     "http.updates_rejected"
@@ -217,9 +230,7 @@ class FrontDoor:
                     "reason": tracker.reason,
                     "attempts": attempts,
                 }
-            # Transient outage (failover in flight): queue and retry.
             self._m.inc("http.updates_retried")
-            time.sleep(self.retry_interval)
 
     # -- read path -------------------------------------------------------
 

@@ -26,6 +26,7 @@ import pytest
 from repro import (
     DesignError,
     FragmentedDatabase,
+    InstantMoveProtocol,
     QuorumConfig,
     RequestStatus,
 )
@@ -161,6 +162,98 @@ class TestFailover:
         assert db.agents["ag"].home_node == "A"
         watch = db.availability._watch["ag"]
         assert watch.interval > db.availability.config.heartbeat_interval
+
+
+def trace_of(db, kind):
+    return [event for event in db.tracer if event.type == kind]
+
+
+class TestSuccessionPoll:
+    """The poll elects the instant its outcome is decided, and only then.
+
+    Exact simulator times: every link has latency 1, so one poll round
+    trip (coordinator -> replica -> coordinator) takes 2 ticks.
+    """
+
+    def fail_home(self, db, *also_down):
+        db.availability.start(until=200.0)
+        db.run(until=10.0)
+        for name in also_down:
+            db.fail_node(name)
+        db.fail_node("A")
+        db.run(until=100.0)
+        return trace_of(db, "avail.suspect")[0].time
+
+    def test_the_last_vote_elects_without_waiting_for_the_timeout(self):
+        db = make_db(availability=AvailabilityConfig(**FAST))
+        suspected = self.fail_home(db)
+        [done] = trace_of(db, "avail.failover.done")
+        assert done.time == suspected + 2.0 + FAST["takeover_delay"]
+        assert done.fields["successor"] in {"B", "C"}
+
+    def test_a_missing_vote_waits_out_the_timeout_then_elects(self):
+        """Five replicas, E down as well: B, C and D are a majority of
+        five, but E might still answer until the deadline."""
+        db = make_db(
+            availability=AvailabilityConfig(**FAST),
+            replicas=("A", "B", "C", "D", "E"),
+        )
+        suspected = self.fail_home(db, "E")
+        [done] = trace_of(db, "avail.failover.done")
+        assert done.time == (
+            suspected + FAST["succession_timeout"] + FAST["takeover_delay"]
+        )
+        assert done.fields["successor"] in {"B", "C", "D"}
+        assert db.metrics.value("avail.failovers_aborted") == 0
+
+    def test_votes_that_cannot_make_a_majority_abort_at_the_timeout(self):
+        """k=2: the coordinator is the only replica polled and votes at
+        once, but one vote of two is no majority — only the deadline
+        decides that."""
+        db = make_db(
+            availability=AvailabilityConfig(**FAST), replicas=("A", "B")
+        )
+        suspected = self.fail_home(db)
+        abort = trace_of(db, "avail.failover.abort")[0]
+        assert abort.time == suspected + FAST["succession_timeout"]
+        assert abort.fields["reason"].startswith("no majority")
+        assert trace_of(db, "avail.failover.done") == []
+
+
+class TestRefusalWakes:
+    def test_a_wake_fires_when_its_own_refusal_ends(self):
+        """A token landing ends the refusals of its own fragment only;
+        a waiter on a dead home stays queued until that home rejoins."""
+        db = FragmentedDatabase(
+            ["A", "B", "C"],
+            movement=InstantMoveProtocol(),
+            availability=AvailabilityConfig(**FAST),
+        )
+        db.add_agent("ag", home_node="A")
+        db.add_fragment("F", agent="ag", objects=["x"])
+        db.add_agent("bg", home_node="B")
+        db.add_fragment("G", agent="bg", objects=["y"])
+        db.load({"x": 0, "y": 0})
+        db.finalize()
+        woken = []
+
+        def refuse_and_wait(agent, obj, fragment):
+            def on_done(tracker):
+                assert tracker.cause is not None  # refused at the gate
+                db.on_refusal_end(fragment, lambda: woken.append(fragment))
+
+            db.submit_update(
+                agent, write_body(obj, 1), writes=[obj], on_done=on_done
+            )
+
+        db.fail_node("A")
+        refuse_and_wait("ag", "x", "F")
+        db.move_agent("bg", "C", transport_delay=5.0)
+        refuse_and_wait("bg", "y", "G")
+        db.run(until=db.sim.now + 10)
+        assert woken == ["G"]  # bg landed; ag's home is still down
+        db.recover_node("A")
+        assert woken == ["G", "F"]
 
 
 class TestQuorumReadRetry:

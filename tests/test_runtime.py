@@ -106,6 +106,67 @@ def test_codec_reconstructs_registered_dataclasses():
     assert (version.value, version.writer, version.version_no) == (7, "T1", 3)
 
 
+#: The benchmark's one-update replication frame and a transport ack,
+#: byte for byte as the codec has always framed them: a faster encoder
+#: must not move a byte on the wire.
+GOLDEN_FRAMES = {
+    "replication": (
+        b'\x00\x00\x02\xef{"src":"N0","dst":"N1","kind":"qt","sent_at":1.0,'
+        b'"payload":{"__wire__":"dc","type":"RPacket","fields":{"cseq":7,'
+        b'"kind":"qt","payload":{"__wire__":"dc","type":"SeqPayload",'
+        b'"fields":{"sender":"N0","seq":7,"kind":"qt","body":{"type":"qtb",'
+        b'"batch":{"__wire__":"dc","type":"QtBatch","fields":{"origin":"N0",'
+        b'"qts":{"__wire__":"tuple","items":[{"__wire__":"dc",'
+        b'"type":"QuasiTransaction","fields":{"source_txn":"T1",'
+        b'"fragment":"F0","agent":"ag0","origin_node":"N0","stream_seq":1,'
+        b'"epoch":0,"writes":[{"__wire__":"tuple","items":["f0o0",'
+        b'{"__wire__":"dc","type":"Version","fields":{"value":1,'
+        b'"writer":"T1","version_no":1,"timestamp":0.0}}]}],'
+        b'"origin_time":0.0,"meta":{},"span":null}}]},"created_at":0.0,'
+        b'"sealed_by":"direct","batch_id":-1}}},"stream":"f:F0"}}}}}'
+    ),
+    "ack": (
+        b'\x00\x00\x00\xa7{"src":"N1","dst":"N0","kind":"rel-ack",'
+        b'"sent_at":2.0,"payload":{"channel":{"__wire__":"tuple",'
+        b'"items":["N0","N1"]},"cum":6,"sack":{"__wire__":"tuple",'
+        b'"items":[8,9]}}}'
+    ),
+}
+
+
+def golden_messages() -> dict[str, Message]:
+    from repro.net.reliable import ACK_KIND
+    from repro.replication.batch import QTB_TYPE, QtBatch
+
+    quasi = QuasiTransaction(
+        source_txn="T1",
+        fragment="F0",
+        agent="ag0",
+        origin_node="N0",
+        stream_seq=1,
+        epoch=0,
+        writes=[("f0o0", Version(1, "T1", 1, 0.0))],
+        origin_time=0.0,
+    )
+    batch = QtBatch(origin="N0", qts=(quasi,), created_at=0.0)
+    body = {"type": QTB_TYPE, "batch": batch}
+    packet = RPacket(7, "qt", SeqPayload("N0", 7, "qt", body, "f:F0"))
+    ack = {"channel": ("N0", "N1"), "cum": 6, "sack": (8, 9)}
+    return {
+        "replication": Message("N0", "N1", "qt", packet, sent_at=1.0),
+        "ack": Message("N1", "N0", ACK_KIND, ack, sent_at=2.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FRAMES))
+def test_codec_frames_are_byte_identical_to_the_golden_bytes(name):
+    codec = default_codec()
+    message = golden_messages()[name]
+    frame = codec.encode_frame(message)
+    assert frame == GOLDEN_FRAMES[name]
+    assert codec.encode_frame(codec.decode_frame(frame[4:])) == frame
+
+
 class Odd:
     """Unregistered payload type."""
 

@@ -1,4 +1,4 @@
-"""HTTP front door tests: routing, failover retries, errors, metrics.
+"""HTTP front door tests: routing, failover wake-ups, errors, metrics.
 
 Each test boots a real asyncio-backed database with a FrontDoor and
 speaks actual HTTP to it — the same path `repro serve` exposes.
@@ -7,12 +7,14 @@ speaks actual HTTP to it — the same path `repro serve` exposes.
 import http.client
 import json
 import socket
+import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro import MoveWithSeqnoProtocol
 from repro.analysis.audit import audit_events
 from repro.availability import AvailabilityConfig
 from repro.core.system import FragmentedDatabase
@@ -26,7 +28,7 @@ from repro.serve import FrontDoor
 from repro.serve.app import _FrontDoorHandler
 
 
-def build_db(availability=True, nodes=5):
+def build_db(availability=True, nodes=5, movement=None):
     names = [chr(ord("A") + i) for i in range(nodes)]
     db = FragmentedDatabase(
         names,
@@ -34,6 +36,7 @@ def build_db(availability=True, nodes=5):
         tick=0.005,
         replication_factor=3,
         availability=AvailabilityConfig() if availability else None,
+        movement=movement,
     )
     db.add_agent("ag0", home_node="A")
     db.add_fragment("F0", agent="ag0", objects=["x"])
@@ -50,7 +53,7 @@ def served():
     db = build_db()
     db.start_runtime()
     db.call_on_runtime(lambda: db.availability.start(until=1e9))
-    door = FrontDoor(db, retry_interval=0.1, deadline=30.0).start()
+    door = FrontDoor(db, deadline=30.0).start()
     yield db, door
     door.stop()
     db.stop_runtime()
@@ -176,6 +179,8 @@ def test_retry_follows_the_cause_not_the_reason_text(served):
             reason="try again shortly",
             cause=RefusalCause.HOME_DOWN,
         )
+        # The refusal ends at once: its waiter is already registered.
+        db.wake_refused()
         return tracker
 
     db.submit_update = refuse_once
@@ -203,19 +208,37 @@ def test_terminal_rejection_maps_to_409(served):
     assert body["attempts"] == 1  # non-transient: no retry loop
 
 
+def count_wakes(db):
+    """Record the fragment of every refusal wake that fires."""
+    woken = []
+    register = db.on_refusal_end
+
+    def counting(fragment, wake):
+        def counted():
+            woken.append(fragment)
+            wake()
+
+        register(fragment, counted)
+
+    db.on_refusal_end = counting
+    return woken
+
+
 def test_kill_plus_failover_queue_and_retry(served):
     db, door = served
     code, _ = post(door.url, "/updates", {"object": "x", "value": 1})
     assert code == 200
+    woken = count_wakes(db)
     db.call_on_runtime(lambda: db.hard_kill_node("A"))
     # The write arrives mid-outage: the gate rejects transiently, the
-    # front door queues and retries, the supervisor re-homes ag0, and
-    # the same HTTP request returns 200 from the new home.
+    # front door queues it until the supervisor's token lands at the
+    # new home, and the one retry that wake releases returns 200 there.
     code, body = post(door.url, "/updates", {"object": "x", "value": 2})
     assert code == 200, body
-    assert body["attempts"] > 1
+    assert body["attempts"] == 2
     assert body["node"] != "A"
-    assert db.metrics.value("http.updates_retried") > 0
+    assert woken == ["F0"]
+    assert db.metrics.value("http.updates_retried") == len(woken)
     assert db.metrics.value("avail.failovers") >= 1
     # Location transparency: /fragments now reports the new home.
     _, frags = get(door.url, "/fragments")
@@ -224,6 +247,55 @@ def test_kill_plus_failover_queue_and_retry(served):
     # The captured live trace passes the §4.4 audit.
     report = audit_events(e.as_dict() for e in db.tracer.events())
     assert report.ok, report.checks
+
+
+def test_a_refusal_nothing_ends_answers_504_at_its_deadline():
+    """The supervisor is configured but never started, so nothing will
+    re-home the dead home's agent: the queued write submits once, waits
+    without polling, and answers 504 when its own deadline passes."""
+    db = build_db()
+    db.start_runtime()
+    door = FrontDoor(db)  # not started: submit_write without HTTP
+    try:
+        db.call_on_runtime(lambda: db.hard_kill_node("A"))
+        started = time.monotonic()
+        code, body = door.submit_write(
+            {"object": "x", "delta": 1, "deadline": 0.5}
+        )
+        assert time.monotonic() - started >= 0.5
+        assert code == 504, body
+        assert body["status"] == "rejected" and body["attempts"] == 1
+        assert db.metrics.value("txn.submitted") == 1
+        assert db.metrics.value("http.updates_retried") == 0
+        assert db.metrics.value("http.updates_timeout") == 1
+    finally:
+        db.stop_runtime()
+    db.sim.check()
+
+
+def test_a_write_refused_in_transit_resumes_at_the_arrival():
+    db = build_db(availability=False, movement=MoveWithSeqnoProtocol())
+    db.start_runtime()
+    door = FrontDoor(db)
+    woken = count_wakes(db)
+    dest = next(name for name in db.replica_set("F0") if name != "A")
+    arrived = threading.Event()
+    try:
+        db.call_on_runtime(
+            lambda: db.move_agent(
+                "ag0", dest, transport_delay=40.0, on_done=arrived.set
+            )
+        )
+        code, body = door.submit_write({"object": "x", "delta": 1})
+        assert code == 200, body
+        # Refused on the road, woken by the landing, committed there.
+        assert arrived.is_set()
+        assert body["attempts"] == 2 and body["node"] == dest
+        assert woken == ["F0"]
+        assert db.metrics.value("http.updates_retried") == 1
+    finally:
+        db.stop_runtime()
+    db.sim.check()
 
 
 def test_metrics_endpoint_matches_registry(served):
@@ -395,7 +467,7 @@ def test_retention_is_flat_across_3000_writes_and_a_kill():
     db.start_runtime()
     db.call_on_runtime(lambda: db.availability.start(until=1e9))
     # Not started: submit_write is the queue-and-retry path without HTTP.
-    door = FrontDoor(db, retry_interval=0.05)
+    door = FrontDoor(db)
 
     def write(count):
         for i in range(count):
@@ -508,7 +580,7 @@ def test_a_windowed_history_still_names_every_orphan(monkeypatch):
     monkeypatch.setattr("repro.core.system.LIVE_WINDOW", window)
     db = build_db()
     db.start_runtime()
-    door = FrontDoor(db, retry_interval=0.05)
+    door = FrontDoor(db)
 
     def write(count):
         for _ in range(count):
