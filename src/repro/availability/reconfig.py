@@ -103,45 +103,7 @@ class Reconfigurator:
         restricted.add(node_name)
         system.syncing_replicas.setdefault(fragment, set()).add(node_name)
         self._trace(fragment, epoch, added=node_name)
-        self._seed_and_catch_up(fragment, node, attempt=0)
-
-    def _seed_and_catch_up(
-        self, fragment: str, node: "DatabaseNode", attempt: int
-    ) -> None:
-        """Ensure the donor holds a checkpoint, then run catch-up.
-
-        The snapshot matters beyond compaction: a delta-only catch-up
-        replays written objects, but initial values the stream never
-        touched exist only in peer stores/checkpoints.  Checkpointing
-        defers while the donor's apply queue is busy, so retry briefly;
-        if no checkpoint can be built (donor churn), fall back to
-        delta-only rather than stalling the join forever.
-        """
-        system = self.system
-        recovery = system.recovery
-        donor_name = recovery._pick_donor(node, fragment, set())
-        want_snapshot = False
-        if donor_name is not None:
-            donor = system.nodes[donor_name]
-            if not donor.down:
-                ckpt = donor.checkpoints.get(fragment)
-                if ckpt is None:
-                    ckpt = recovery.checkpoint_now(
-                        donor, fragment, gossip=False
-                    )
-                if ckpt is None and attempt < 10:
-                    system.sim.schedule(
-                        1.0,
-                        lambda: self._seed_and_catch_up(
-                            fragment, node, attempt + 1
-                        ),
-                        label=f"avail join seed {node.name}",
-                    )
-                    return
-                want_snapshot = ckpt is not None
-        recovery.catch_up(
-            node, fragments=[fragment], want_snapshot=want_snapshot
-        )
+        system.recovery.catch_up(node, [fragment], want_snapshot=True)
 
     def note_caught_up(self, node: "DatabaseNode") -> None:
         """Catch-up completed at ``node``: any syncing joins finish.
@@ -211,13 +173,8 @@ class Reconfigurator:
         objects = frozenset(
             self.system.fragment_objects(fragment, node.store)
         )
-        for quasi in (streams.archive.get(fragment) or {}).values():
-            streams.installed_sources.discard(quasi.source_txn)
-        streams.archive.pop(fragment, None)
+        streams.forget(fragment)
         streams.buffer.pop(fragment, None)
-        streams.next_expected.pop(fragment, None)
-        streams.epoch.pop(fragment, None)
-        streams.pruned_below.pop(fragment, None)
         streams.pending_cut.pop(fragment, None)
         for obj in objects:
             node.store.drop(obj)

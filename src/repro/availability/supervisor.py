@@ -30,12 +30,15 @@ availability supervisor closes that loop:
    explicit and counted in ``avail.updates_discarded``).  The cut is
    multicast on the fragment's propagation plan; the network holds it
    for the dead home and re-delivers it at recovery, which is exactly
-   the demotion trigger: the ex-home discards its stale suffix from
-   archive, WAL (:meth:`WriteAheadLog.drop_stale_suffix`), and store,
-   rewinds its cursor, and rejoins the stream under the new epoch.
+   the demotion trigger: the ex-home drops its stale suffix from the
+   WAL (:meth:`WriteAheadLog.drop_stale_suffix`), then recovers that
+   one fragment the way a crashed node recovers all of them — replay
+   from checkpoint and WAL (:meth:`DatabaseNode.replay`), then
+   :meth:`RecoveryManager.catch_up` from the successor.
 
-No new network primitives: pings, polls, and demotion resyncs are
-plain unicasts; cuts ride the reliable FIFO broadcast.  Everything is
+No new network primitives: pings and polls are plain unicasts, cuts
+ride the reliable FIFO broadcast, and a demoted or lagging replica
+resyncs through recovery's own catch-up exchange.  Everything is
 deterministic — timers are simulator events, and the only "oracle"
 used is the choice of *which* replica probes (a real deployment runs
 one detector per replica; the simulation elects a single live
@@ -54,7 +57,6 @@ from repro.net.message import Message
 from repro.obs import taxonomy
 from repro.recovery.checkpoint import FragmentCheckpoint, apply_checkpoint
 from repro.replication.admission import drain_buffer
-from repro.storage.values import INITIAL_WRITER, Version
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import DatabaseNode
@@ -67,8 +69,6 @@ PING = "avail-ping"
 PONG = "avail-pong"
 SUCC_REQ = "avail-succ-req"
 SUCC_REP = "avail-succ-rep"
-DEMOTE_REQ = "avail-demote-req"
-DEMOTE_REP = "avail-demote-rep"
 #: Broadcast body type of an epoch-cut announcement.
 EPOCH_CUT = "avail-cut"
 
@@ -139,8 +139,8 @@ class _Succession:
 class AvailabilitySupervisor:
     """Failure detection, token succession, and demotion for one system.
 
-    Always constructed by :class:`FragmentedDatabase` (its message
-    handlers also serve the demotion path, which must work even when
+    Always constructed by :class:`FragmentedDatabase` (its epoch-cut
+    handler also serves the demotion path, which must work even when
     detection is off), but the detector only runs between
     :meth:`start` and its deadline — a recurring probe with no horizon
     would keep the event queue non-empty forever and ``quiesce()``
@@ -193,20 +193,9 @@ class AvailabilitySupervisor:
         node.register_unicast(
             SUCC_REP, lambda msg, n=node: self._on_succ_rep(n, msg)
         )
-        node.register_unicast(
-            DEMOTE_REQ, lambda msg, n=node: self._on_demote_req(n, msg)
-        )
-        node.register_unicast(
-            DEMOTE_REP, lambda msg, n=node: self._on_demote_rep(n, msg)
-        )
         node.register_broadcast(
             EPOCH_CUT, lambda n, sender, body: self._on_cut(n, sender, body)
         )
-
-    def note_caught_up(self, node: "DatabaseNode") -> None:
-        """Catch-up completion hook: a syncing joiner may now count."""
-        if self.reconfig is not None:
-            self.reconfig.note_caught_up(node)
 
     # -- detection ----------------------------------------------------------
 
@@ -730,12 +719,11 @@ class AvailabilitySupervisor:
         * cursor above ``s`` — **demotion**: this replica holds a
           committed-but-unpropagated suffix the cut declared lost (the
           recovered ex-home, or a replica a late delivery pushed past
-          the poll).  Discard ``[s, cursor)`` from archive, WAL, and
-          store, rewind to ``s``.
+          the poll).  Discard ``[s, cursor)`` and recover the fragment.
         * cursor at ``s`` — the common live-replica case: park the
           cut; the drain loop activates it immediately.
         * cursor below ``s`` — behind: park the cut; held re-deliveries
-          and a resync from the successor close the gap first.
+          and a catch-up from the successor close the gap first.
 
         Cuts are parked (not applied eagerly) so a replica that must
         still admit old-epoch entries below the cut start keeps its
@@ -754,8 +742,8 @@ class AvailabilitySupervisor:
         if not unseen:
             return  # stale announcement (or the successor's own echo)
         rewind_to = min(s for _, s in unseen)
-        cursor = streams.next_expected[fragment]
-        if cursor > rewind_to:
+        tainted = False
+        if streams.next_expected[fragment] > rewind_to:
             if node.apply_queue.depth(fragment) > 0:
                 # An install from the doomed suffix may be mid-flight;
                 # demotion scrubs the WAL, so let the queue drain first
@@ -766,65 +754,50 @@ class AvailabilitySupervisor:
                     label=f"avail demote retry {node.name}",
                 )
                 return
-            self._demote(node, fragment, rewind_to, unseen[0][0])
+            tainted = self._demote(node, fragment, rewind_to, unseen[0][0])
         for epoch, start in unseen:
             streams.park_cut(fragment, epoch, start)
         drain_buffer(node, fragment)
-        last_epoch, last_start = max(lineage)
-        if (streams.epoch[fragment], streams.next_expected[fragment]) < (
-            last_epoch,
-            last_start,
-        ):
-            # Still short of the newest cut: ask the successor for the
-            # missing range (held re-deliveries may also close it; the
-            # admission path drops whichever copy arrives second).
-            successor = body["successor"]
-            if successor != node.name:
-                ckpt = node.checkpoints.get(fragment)
-                tainted = ckpt is not None and ckpt.upto > rewind_to
-                self.system.network.send(
-                    node.name,
-                    successor,
-                    DEMOTE_REQ,
-                    {
-                        "fragment": fragment,
-                        "node": node.name,
-                        "cursor": streams.next_expected[fragment],
-                        "snapshot": tainted,
-                    },
-                )
+        if tainted or (
+            streams.epoch[fragment],
+            streams.next_expected[fragment],
+        ) < max(lineage):
+            # Still short of the newest cut, or missing what a dropped
+            # checkpoint held: catch up, from the successor first (held
+            # re-deliveries may also close the gap; the admission path
+            # drops whichever copy arrives second).
+            self.system.recovery.catch_up(
+                node,
+                [fragment],
+                want_snapshot=tainted,
+                donor=body["successor"],
+            )
 
     def _demote(
         self, node: "DatabaseNode", fragment: str, start: int, epoch: int
-    ) -> None:
-        """Discard this replica's stale suffix ``[start, cursor)``.
+    ) -> bool:
+        """Discard this replica's stale suffix, then recover the fragment.
 
-        The suffix was committed here (origin) or installed here
-        (replica) in an epoch below ``epoch``, but the failover cut
-        declared the stream to continue at ``start`` — every other
-        replica either never saw the suffix or is discarding it too.
-        The store is rebuilt from the durable checkpoint plus the
-        scrubbed WAL, which is exactly the crash-recovery replay
-        scoped to one fragment.  A checkpoint *covering* part of the
-        doomed suffix cannot seed the rebuild (its snapshot folds the
-        stale writes in); it is dropped, and the follow-up resync
-        requests a fresh snapshot from the successor instead.
+        The suffix ``[start, cursor)`` was committed or installed here
+        in an epoch below ``epoch``, but the failover cut continues the
+        stream at ``start``.  It leaves the WAL, the fragment is
+        replayed from what is durable, as crash recovery would, and the
+        replica rejoins the stream at ``start``.  A checkpoint covering
+        part of the suffix folds its writes in and cannot seed the
+        replay: it is dropped, and True is returned — only a shipped
+        snapshot can restore the prefix it held.
         """
         streams = node.streams
-        cursor = streams.next_expected[fragment]
-        stale = cursor - start
-        archive = streams.archive.get(fragment) or {}
-        for seq in range(start, cursor):
-            quasi = archive.pop(seq, None)
-            if quasi is not None:
-                streams.installed_sources.discard(quasi.source_txn)
-        streams.next_expected[fragment] = start
+        stale = streams.next_expected[fragment] - start
+        reached = streams.epoch[fragment]
         node.wal.drop_stale_suffix(fragment, epoch, start)
         ckpt = node.checkpoints.get(fragment)
-        if ckpt is not None and ckpt.upto > start:
+        tainted = ckpt is not None and ckpt.upto > start
+        if tainted:
             node.checkpoints.discard(fragment)
-            ckpt = None
-        self._rebuild_fragment(node, fragment, ckpt)
+        node.replay(fragment)
+        streams.epoch[fragment] = reached
+        streams.next_expected[fragment] = start
         self._c_demotions.inc()
         self._c_discarded.inc(stale)
         if self.system.tracer.enabled:
@@ -836,87 +809,4 @@ class AvailabilitySupervisor:
                 start=start,
                 discarded=stale,
             )
-
-    def _rebuild_fragment(
-        self,
-        node: "DatabaseNode",
-        fragment: str,
-        ckpt: FragmentCheckpoint | None,
-    ) -> None:
-        """Re-derive one fragment's store from checkpoint + scrubbed WAL.
-
-        Mirrors :meth:`DatabaseNode.recover`'s replay, restricted to
-        one fragment: snapshot values, then WAL loads (initial values
-        not covered by the snapshot), then install records in log
-        order.  Objects the discarded suffix created out of thin air
-        fall out (they appear in no surviving record).
-        """
-        system = self.system
-        spec = system.catalog.get(fragment)
-        values: dict[str, Version] = {}
-        if ckpt is not None:
-            values.update(ckpt.snapshot)
-        floor = ckpt.cursor if ckpt is not None else (-1, -1)
-        for record in node.wal.records():
-            if record.kind == "load":
-                if spec.contains(record.obj) and record.obj not in values:
-                    values[record.obj] = Version(
-                        record.value, INITIAL_WRITER, 0, 0.0
-                    )
-                continue
-            quasi = record.quasi
-            if quasi.fragment != fragment:
-                continue
-            if (quasi.epoch, quasi.stream_seq) < floor:
-                continue  # superseded by the checkpoint snapshot
-            for obj, version in quasi.writes:
-                values[obj] = version
-        for obj in system.fragment_objects(fragment, node.store):
-            if obj not in values:
-                node.store.drop(obj)
-        for obj, version in values.items():
-            node.store.install(obj, version)
-
-    # -- demotion resync (successor side) -----------------------------------
-
-    def _on_demote_req(self, node: "DatabaseNode", message: Message) -> None:
-        """The successor serves a demoted/behind replica's gap.
-
-        ``snapshot`` requests force a fresh checkpoint (the requester
-        lost its own to taint); deferred while the apply queue is busy,
-        retried shortly — the recovery manager's own checkpoint rule.
-        """
-        payload = message.payload
-        fragment = payload["fragment"]
-        system = self.system
-        if payload.get("snapshot"):
-            ckpt = system.recovery.checkpoint_now(node, fragment, gossip=False)
-            if ckpt is None:
-                system.sim.schedule(
-                    1.0,
-                    lambda: self._on_demote_req(node, message),
-                    label=f"avail demote-snap retry {node.name}",
-                )
-                return
-        part = system.recovery._build_part(
-            node, payload["node"], fragment, int(payload["cursor"])
-        )
-        system.network.send(
-            node.name,
-            payload["node"],
-            DEMOTE_REP,
-            {"fragment": fragment, "part": part},
-        )
-
-    def _on_demote_rep(self, node: "DatabaseNode", message: Message) -> None:
-        payload = message.payload
-        part = payload["part"]
-        checkpoint = part["checkpoint"]
-        if checkpoint is not None:
-            if apply_checkpoint(node, checkpoint, persist=True):
-                self.system.recovery._truncate_wal(node, checkpoint)
-            self.system.recovery.tracker.note(
-                payload["fragment"], node.name, checkpoint.upto
-            )
-        for quasi in part["qts"]:
-            self.system.movement.admit(node, quasi)
+        return tainted

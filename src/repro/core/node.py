@@ -400,27 +400,45 @@ class DatabaseNode:
         self.system.pipeline.node_crashed(self)
 
     def restore(self) -> None:
-        """Restore checkpoints and replay the WAL suffix.
+        """Crash recovery: replay every fragment from durable state.
 
-        The durable state comes back in two layers: the newest
-        checkpoint per fragment restores that fragment's snapshot and
-        fast-forwards the stream cursor, then WAL replay applies only
-        the records past each checkpoint (truncation usually already
-        dropped the rest; the guards below make the order safe even
-        when truncation is disabled).  Quasi-transactions the
-        middleware had delivered but that never reached the WAL are
-        gone from this replica — once the caller
-        (``FragmentedDatabase._rejoin``) has reconnected the node, the
-        recovery manager's cursor-based catch-up asks one donor per
-        fragment for exactly the missing suffix, and the ordered
-        admission path re-installs it.
+        Quasi-transactions the middleware had delivered but that never
+        reached the WAL are gone; the caller
+        (``FragmentedDatabase._rejoin``) catches up on them next.
         """
         self.down = False
+        self.replay()
+        self.system.pipeline.node_recovered(self)
+
+    def replay(self, fragment: str | None = None) -> None:
+        """Rebuild stores and stream cursors from durable state.
+
+        The one replay crash recovery and demotion share: the newest
+        checkpoint's snapshot (fast-forwarding the cursor), then the
+        WAL loads it does not cover, then the WAL installs past its
+        cursor in log order — a WAL can hold a discarded epoch's slots
+        ahead of the same slots in the epoch that replaced them.
+        ``None`` replays every fragment into a crashed node's empty
+        store; a fragment name first forgets that one fragment's
+        objects, cursor and archive (demotion).
+        """
         streams = self.streams
+        owner = self.system.catalog.fragment_of
+        if fragment is not None:
+            for obj in self.system.fragment_objects(fragment, self.store):
+                self.store.drop(obj)
+            streams.forget(fragment)
+        floor: dict[str, tuple[int, int]] = {}
         for ckpt in self.checkpoints.all():
-            apply_checkpoint(self, ckpt, persist=False)
+            if fragment in (None, ckpt.fragment):
+                apply_checkpoint(self, ckpt, persist=False)
+                floor[ckpt.fragment] = ckpt.cursor
         for record in self.wal.records():
-            if record.kind == "load":
+            quasi = record.quasi
+            name = owner(record.obj) if quasi is None else quasi.fragment
+            if fragment not in (None, name):
+                continue
+            if quasi is None:
                 # A checkpointed object already has its snapshot
                 # version; re-installing the initial value would
                 # regress it.
@@ -429,17 +447,11 @@ class DatabaseNode:
                         record.obj,
                         Version(record.value, INITIAL_WRITER, 0, 0.0),
                     )
-                continue
-            quasi = record.quasi
-            fragment = quasi.fragment
-            slot = (quasi.epoch, quasi.stream_seq)
-            if slot < (streams.epoch[fragment], streams.next_expected[fragment]):
-                continue  # superseded by the restored checkpoint
-            for obj, version in quasi.writes:
-                self.store.install(obj, version)
-            streams.record(quasi)
-            streams.observe(quasi)
-        self.system.pipeline.node_recovered(self)
+            elif (quasi.epoch, quasi.stream_seq) >= floor.get(name, (0, 0)):
+                for obj, version in quasi.writes:
+                    self.store.install(obj, version)
+                streams.record(quasi)
+                streams.observe(quasi)
 
     def __repr__(self) -> str:
         return f"DatabaseNode({self.name!r})"

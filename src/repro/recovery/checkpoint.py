@@ -132,10 +132,13 @@ def apply_checkpoint(
 
     Returns True if the replica's cursor advanced (or matched) — i.e.
     the snapshot was installed.  A replica already past the checkpoint
-    keeps its newer values untouched.  ``persist`` stores the
-    checkpoint durably so the receiver can itself restore from it (and
-    serve it onward) after a later crash; recovery's own restore passes
-    ``persist=False`` because the checkpoint is already on the shelf.
+    keeps its newer values, and in the same epoch gains the objects it
+    lacks — nothing past the checkpoint wrote those (only a demoted
+    replica lacks any, when live traffic overtook its snapshot).
+    ``persist`` stores the checkpoint durably so the receiver can
+    itself restore from it (and serve it onward) after a later crash;
+    recovery's own restore passes ``persist=False`` because the
+    checkpoint is already on the shelf.
 
     Always ends with a buffer drain: the fast-forwarded cursor may make
     previously-gapped buffered quasi-transactions contiguous.
@@ -161,5 +164,9 @@ def apply_checkpoint(
         # the only record that they are already reflected here.
         streams.prune(fragment, ckpt.upto)
         node.checkpoints.restores += 1
+    elif ckpt.epoch == current[0]:
+        for name, version in ckpt.snapshot.items():
+            if not node.store.exists(name):
+                node.store.install(name, version)
     drain_buffer(node, fragment)
     return applied

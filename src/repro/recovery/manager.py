@@ -106,13 +106,14 @@ class RecoveryConfig:
 class _Catchup:
     """Per-rejoiner catch-up state: what is still owed, whom we asked."""
 
-    outstanding: set[str]
+    outstanding: set[str] = field(default_factory=set)
     tried: dict[str, set[str]] = field(default_factory=dict)
     #: fragments whose donor must ship a checkpoint even when the
-    #: cursor is above its compaction horizon (reconfiguration joins:
-    #: initial values the stream never rewrote live only in snapshots).
+    #: cursor is above its compaction horizon (reconfiguration joins
+    #: and tainted demotions: values that live only in snapshots).
     snapshot: set[str] = field(default_factory=set)
-    attempts: int = 0
+    #: request rounds so far; a merge joins the current round.
+    attempts: int = 1
     timer: "EventHandle | None" = None
 
 
@@ -420,52 +421,57 @@ class RecoveryManager:
         node: "DatabaseNode",
         fragments: list[str] | None = None,
         want_snapshot: bool = False,
+        donor: str | None = None,
     ) -> None:
         """Start cursor-based anti-entropy for a node owed history.
 
         One donor per fragment (grouped into one request per donor),
         bounded retries rotating donors if a reply never comes or a
-        donor could not serve the range.  ``fragments=None`` — the
-        recovery path — covers everything the node replicates and
-        replaces any catch-up already in flight; an explicit list — a
-        reconfiguration join — merges into the in-flight state instead,
-        so a concurrent recovery is not cancelled.  ``want_snapshot``
-        asks donors for a checkpoint even above their compaction
-        horizon (joiners need initial values, not just the delta).
+        donor could not serve the range.  ``fragments=None`` — crash
+        recovery — covers everything the node replicates; a list — a
+        join, or a demotion (recovery for one fragment) — only those.
+        Calls merge: only fragments not yet in flight (or newly owed a
+        snapshot) are requested, under the one retry timer.
+        ``want_snapshot`` asks for a checkpoint even above the donor's
+        compaction horizon (a joiner needs initial values, a demoted
+        replica what its dropped checkpoint held).  ``donor`` is the
+        first peer to ask; rotation then proceeds as usual.
         """
         system = self.system
-        if fragments is None:
-            self._cancel_pending(node.name)
-        wanted = None if fragments is None else set(fragments)
         names = [
             fragment.name
             for fragment in system.catalog
             if system.replicates(node.name, fragment.name)
-            and (wanted is None or fragment.name in wanted)
+            and (fragments is None or fragment.name in fragments)
         ]
         if not names or len(system.nodes) < 2:
             return
-        state = self._pending.get(node.name) if wanted is not None else None
-        if state is None:
-            state = _Catchup(
-                outstanding=set(names),
-                tried={fragment: set() for fragment in names},
-            )
-            self._pending[node.name] = state
-        else:
-            for fragment in names:
-                state.outstanding.add(fragment)
-                state.tried.setdefault(fragment, set())
+        state = self._pending.setdefault(node.name, _Catchup())
+        added = [
+            fragment
+            for fragment in names
+            if fragment not in state.outstanding
+            or (want_snapshot and fragment not in state.snapshot)
+        ]
+        if not added:
+            return
+        state.outstanding.update(added)
+        for fragment in added:
+            state.tried[fragment] = set()
         if want_snapshot:
-            state.snapshot.update(names)
-        self._send_requests(node, state)
+            state.snapshot.update(added)
+        self._send_requests(node, state, added, first=donor)
 
     def _pick_donor(
-        self, node: "DatabaseNode", fragment: str, tried: set[str]
+        self,
+        node: "DatabaseNode",
+        fragment: str,
+        tried: set[str],
+        first: str | None = None,
     ) -> str | None:
-        """Best untried peer replica: up and reachable first, by name."""
+        """Best untried peer: ``first``, then up and reachable, by name."""
         system = self.system
-        best: tuple[tuple[bool, bool, str], str] | None = None
+        best: tuple[tuple[bool, bool, bool, bool, str], str] | None = None
         for name in system.nodes:
             if name == node.name or name in tried:
                 continue
@@ -473,6 +479,7 @@ class RecoveryManager:
                 continue
             peer = system.nodes[name]
             rank = (
+                name != first,
                 peer.down,
                 not system.topology.reachable(node.name, name),
                 # A joiner still syncing is a donor of last resort: its
@@ -484,13 +491,19 @@ class RecoveryManager:
                 best = (rank, name)
         return None if best is None else best[1]
 
-    def _send_requests(self, node: "DatabaseNode", state: _Catchup) -> None:
+    def _send_requests(
+        self,
+        node: "DatabaseNode",
+        state: _Catchup,
+        fragments: list[str] | set[str],
+        first: str | None = None,
+    ) -> None:
+        """Ask one donor per fragment; arm the retry timer if none is."""
         system = self.system
-        state.attempts += 1
         assignments: dict[str, dict[str, int]] = {}
-        for fragment in sorted(state.outstanding):
+        for fragment in sorted(fragments):
             tried = state.tried[fragment]
-            donor = self._pick_donor(node, fragment, tried)
+            donor = self._pick_donor(node, fragment, tried, first)
             if donor is None and tried:
                 # Every replica has been tried; start the rotation over.
                 tried.clear()
@@ -519,27 +532,34 @@ class RecoveryManager:
             }
             wants = sorted(state.snapshot & set(cursors))
             if wants:
-                # Key present only for snapshot-seeded joins, so plain
-                # recovery requests stay byte-identical.
-                request["snapshot"] = wants
+                # Key present only when a snapshot is owed, so plain
+                # recovery requests stay byte-identical; with epochs.
+                request["snapshot"] = {
+                    fragment: node.streams.epoch[fragment]
+                    for fragment in wants
+                }
             system.network.send(node.name, donor, CATCHUP_REQ, request)
-        if state.outstanding and state.attempts < self.config.catchup_attempts:
+        if (
+            state.timer is None
+            and state.outstanding
+            and state.attempts < self.config.catchup_attempts
+        ):
             state.timer = system.sim.schedule(
                 self.config.catchup_retry,
                 lambda: self._retry(node.name),
                 label=f"catchup-retry {node.name}",
             )
-        else:
-            state.timer = None
 
     def _retry(self, name: str) -> None:
         state = self._pending.get(name)
-        if state is None or not state.outstanding:
+        if state is None:
             return
+        state.timer = None
         node = self.system.nodes[name]
-        if node.down:
+        if not state.outstanding or node.down:
             return
-        self._send_requests(node, state)
+        state.attempts += 1
+        self._send_requests(node, state, state.outstanding)
 
     def _cancel_pending(self, name: str) -> None:
         state = self._pending.pop(name, None)
@@ -568,7 +588,7 @@ class RecoveryManager:
         requester: str,
         fragment: str,
         cursor: int,
-        force_snapshot: bool = False,
+        snapshot: FragmentCheckpoint | None = None,
     ) -> dict[str, Any]:
         """One fragment's slice of a catch-up reply.
 
@@ -578,26 +598,23 @@ class RecoveryManager:
         neither covers the gap (no checkpoint and a pruned archive —
         only possible when the donor itself is mid-rejoin), the part is
         marked unserved and the requester's retry rotates donors.
-        ``force_snapshot`` takes the checkpoint path even above the
-        horizon (reconfiguration joins: a delta from seq 0 replays
-        every write but carries no initial values).
+        ``snapshot`` is shipped, with the tail above it, whatever the
+        horizon: the checkpoint a snapshot request is served from.
         """
         streams = donor.streams
         upto = streams.next_expected.get(fragment, 0)
         horizon = self._horizon(donor, fragment)
-        checkpoint: FragmentCheckpoint | None = None
-        if cursor >= horizon and not force_snapshot:
-            start = cursor
-        else:
+        checkpoint = snapshot
+        if checkpoint is None and cursor < horizon:
             checkpoint = donor.checkpoints.get(fragment)
-            if checkpoint is None or checkpoint.upto < horizon:
-                return {
-                    "checkpoint": None,
-                    "qts": [],
-                    "served": False,
-                    "horizon": horizon,
-                }
-            start = max(checkpoint.upto, cursor)
+        start = cursor if checkpoint is None else max(checkpoint.upto, cursor)
+        if start < horizon:
+            return {
+                "checkpoint": None,
+                "qts": [],
+                "served": False,
+                "horizon": horizon,
+            }
         archive = streams.archive.get(fragment) or {}
         qts = [archive[seq] for seq in range(start, upto)]
         if checkpoint is not None:
@@ -632,22 +649,43 @@ class RecoveryManager:
         }
 
     def _on_catchup_req(self, donor: "DatabaseNode", message: Message) -> None:
-        requester = message.payload["requester"]
-        wants_snapshot = set(message.payload.get("snapshot") or ())
-        parts = {
-            fragment: self._build_part(
-                donor,
-                requester,
-                fragment,
-                int(cursor),
-                force_snapshot=fragment in wants_snapshot,
+        """Serve each fragment's gap, and any snapshot owed with it.
+
+        That is the shelf checkpoint if it reaches the requester's
+        cursor (a receiver ignores one below), else a fresh one — and
+        while the apply queue defers that, the reply waits too.
+        """
+        if donor.down:
+            return  # crashed while the reply waited: the requester rotates
+        payload = message.payload
+        owed = payload.get("snapshot") or {}
+        parts: dict[str, dict[str, Any]] = {}
+        for fragment, cursor in payload["cursors"].items():
+            if not self.system.replicates(donor.name, fragment):
+                continue
+            snapshot = None
+            if fragment in owed:
+                snapshot = donor.checkpoints.get(fragment)
+                if snapshot is None or snapshot.cursor < (
+                    owed[fragment],
+                    int(cursor),
+                ):
+                    snapshot = self.checkpoint_now(
+                        donor, fragment, gossip=False
+                    )
+                if snapshot is None:
+                    self.system.sim.schedule(
+                        1.0,
+                        lambda: self._on_catchup_req(donor, message),
+                        label=f"catchup-snapshot retry {donor.name}",
+                    )
+                    return
+            parts[fragment] = self._build_part(
+                donor, payload["requester"], fragment, int(cursor), snapshot
             )
-            for fragment, cursor in message.payload["cursors"].items()
-            if self.system.replicates(donor.name, fragment)
-        }
         self.system.network.send(
             donor.name,
-            requester,
+            payload["requester"],
             CATCHUP_REP,
             {"donor": donor.name, "fragments": parts},
         )
@@ -665,7 +703,13 @@ class RecoveryManager:
                 self.tracker.note(fragment, node.name, checkpoint.upto)
             for quasi in part["qts"]:
                 system.movement.admit(node, quasi)
-            if part["served"] and state is not None:
+            if (
+                part["served"]
+                and state is not None
+                # An owed snapshot is settled by a part carrying one,
+                # not by the reply to an earlier delta-only request.
+                and (checkpoint is not None or fragment not in state.snapshot)
+            ):
                 state.outstanding.discard(fragment)
                 state.snapshot.discard(fragment)
         if state is not None and not state.outstanding:
@@ -678,4 +722,4 @@ class RecoveryManager:
                 )
             # A reconfiguration joiner that just finished syncing now
             # counts toward quorums (no-op for plain rejoiners).
-            self.system.availability.note_caught_up(node)
+            self.system.availability.reconfig.note_caught_up(node)

@@ -112,6 +112,14 @@ class StreamLog:
         self.pruned_below[fragment] = floor
         return dropped
 
+    def forget(self, fragment: str) -> None:
+        """Drop what a replay rebuilds: cursor, epoch and archive."""
+        for quasi in self.archive.pop(fragment, {}).values():
+            self.installed_sources.discard(quasi.source_txn)
+        self.next_expected.pop(fragment, None)
+        self.epoch.pop(fragment, None)
+        self.pruned_below.pop(fragment, None)
+
     def park_cut(self, fragment: str, epoch: int, start: int) -> None:
         """Remember an epoch cut whose start the cursor has not reached."""
         cuts = self.pending_cut.setdefault(fragment, [])

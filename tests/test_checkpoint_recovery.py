@@ -187,6 +187,60 @@ class TestSingleDonorCatchup:
         # grace=None pinned the watermark, so no checkpoint shipping.
         assert db.metrics.value("recovery.checkpoints_shipped") == 0
 
+    def _cut_off_rejoiner(self):
+        """D rejoins behind a partition: its requests wait unanswered."""
+        db = FragmentedDatabase(["A", "B", "C", "D"])
+        db.add_agent("ag", home_node="A")
+        db.add_fragment("F", agent="ag", objects=["x"])
+        db.add_agent("bg", home_node="B")
+        db.add_fragment("G", agent="bg", objects=["y"])
+        db.load({"x": 0, "y": 0})
+        db.finalize()
+        db.fail_node("D")
+        db.submit_update("ag", bump("x"), writes=["x"])
+        db.submit_update("bg", bump("y"), writes=["y"])
+        db.run(until=db.sim.now + 5)
+        db.partitions.partition_now([["D"], ["A", "B", "C"]])
+        db.recover_node("D")
+        return db
+
+    def test_a_merge_asks_only_for_what_it_adds(self):
+        """Asking again for a fragment already in flight sends nothing,
+        burns no attempt and arms no second retry timer."""
+        db = self._cut_off_rejoiner()
+        pending = db.recovery._pending["D"]
+        assert db.metrics.value("recovery.catchup_requests") == 1
+        assert pending.tried == {"F": {"A"}, "G": {"A"}}
+        timer = pending.timer
+        db.recovery.catch_up(db.nodes["D"], ["F"])
+        assert db.metrics.value("recovery.catchup_requests") == 1
+        assert pending.tried == {"F": {"A"}, "G": {"A"}}
+        assert (pending.attempts, pending.timer) == (1, timer)
+        # One timer, so exactly the configured rounds: one per attempt.
+        db.run(until=db.sim.now + 100)
+        attempts = db.recovery.config.catchup_attempts
+        assert db.metrics.value("recovery.catchup_requests") == attempts
+        assert pending.attempts == attempts
+        db.partitions.heal_now()
+        db.quiesce()
+        assert "D" not in db.recovery._pending
+        assert db.nodes["D"].store.snapshot() == {"x": 1, "y": 1}
+
+    def test_a_merge_for_a_snapshot_asks_its_first_donor(self):
+        db = self._cut_off_rejoiner()
+        db.recovery.catch_up(
+            db.nodes["D"], ["F"], want_snapshot=True, donor="C"
+        )
+        pending = db.recovery._pending["D"]
+        assert db.metrics.value("recovery.catchup_requests") == 2
+        assert pending.tried == {"F": {"C"}, "G": {"A"}}
+        assert pending.snapshot == {"F"}
+        db.partitions.heal_now()
+        db.quiesce()
+        assert "D" not in db.recovery._pending
+        assert db.metrics.value("recovery.checkpoints_shipped") == 1
+        assert db.nodes["D"].store.snapshot() == {"x": 1, "y": 1}
+
 
 class TestWatermarkCompaction:
     def test_archives_stay_bounded_under_cadence(self):

@@ -12,6 +12,9 @@ These tests pin the behavioural contract end to end:
 * a committed-but-unpropagated suffix stranded on a crashed home is
   discarded at demotion — counted, and absent from every replica —
   even when failover interleaves with crash recovery;
+* demotion is recovery for one fragment: an ex-home whose checkpoint
+  covered part of that suffix drops it and is caught up with a
+  snapshot, whether it rejoins at the cut start or behind it;
 * a k=2 fragment can never fail over (no provable majority), and the
   detector backs off instead of hammering the dead home;
 * quorum reads re-size and retry once after an online reconfiguration
@@ -28,6 +31,7 @@ from repro import (
     FragmentedDatabase,
     InstantMoveProtocol,
     QuorumConfig,
+    RecoveryConfig,
     RequestStatus,
 )
 from repro.analysis.audit import audit_events
@@ -52,16 +56,25 @@ FAST = dict(
 )
 
 
-def make_db(quorum=None, availability=None, replicas=("A", "B", "C")):
-    """Five nodes; fragment F restricted to ``replicas`` (home A)."""
+def make_db(
+    quorum=None, availability=None, replicas=("A", "B", "C"), recovery=None
+):
+    """Five nodes; fragment F restricted to ``replicas`` (home A).
+
+    F holds ``x``, which the tests write, and ``y``, which only the
+    initial load and checkpoint snapshots ever carry.
+    """
     db = FragmentedDatabase(
-        ["A", "B", "C", "D", "E"], quorum=quorum, availability=availability
+        ["A", "B", "C", "D", "E"],
+        quorum=quorum,
+        availability=availability,
+        recovery=recovery,
     )
     db.enable_tracing(None)
     db.add_agent("ag", home_node="A")
-    db.add_fragment("F", agent="ag", objects=["x"])
+    db.add_fragment("F", agent="ag", objects=["x", "y"])
     db.set_replication("F", list(replicas))
-    db.load({"x": 0})
+    db.load({"x": 0, "y": 0})
     db.finalize()
     return db
 
@@ -166,6 +179,84 @@ class TestFailover:
 
 def trace_of(db, kind):
     return [event for event in db.tracer if event.type == kind]
+
+
+class TestDemotionIsRecovery:
+    """A demoted ex-home recovers its one fragment through catch-up.
+
+    With checkpoints armed, the isolated home checkpoints *inside* the
+    suffix it commits alone, so the cut finds that checkpoint tainted:
+    it folds discarded writes in, and the WAL behind it is gone.
+    """
+
+    def isolate_commit_and_crash(self, db, values=(666, 667, 668)):
+        db.availability.start(until=600.0)
+        db.submit_update("ag", write_body("x", 1), writes=["x"])
+        db.run(until=15.0)
+        db.partitions.partition_now([["A"], ["B", "C", "D", "E"]])
+        for value in values:
+            db.submit_update("ag", write_body("x", value), writes=["x"])
+        db.run(until=db.sim.now + 3)
+        ckpt = db.nodes["A"].checkpoints.get("F")
+        assert ckpt is not None and ckpt.upto > 1  # covers the suffix
+        db.fail_node("A")
+        db.partitions.heal_now()
+        db.run(until=db.sim.now + 60)
+
+    def assert_ex_home_matches(self, db, home):
+        ex_home, successor = db.nodes["A"], db.nodes[home]
+        assert ex_home.store.snapshot(["x", "y"]) == successor.store.snapshot(
+            ["x", "y"]
+        )
+        assert db.mutual_consistency().consistent
+        report = audit_events(event.as_dict() for event in db.tracer)
+        assert report.ok, report.violations
+
+    def test_tainted_demotion_at_the_cut_start_is_snapshot_seeded(self):
+        db = make_db(
+            availability=AvailabilityConfig(**FAST),
+            recovery=RecoveryConfig(checkpoint_every=3),
+        )
+        self.isolate_commit_and_crash(db)
+        home = db.agents["ag"].home_node
+        db.recover_node("A")
+        db.quiesce()
+        assert db.metrics.value("avail.demotions") == 1
+        self.assert_ex_home_matches(db, home)
+        # The rejoin's request went out before the held cut landed; the
+        # demotion then asked the successor from the rewound cursor,
+        # exactly the cut start, where nothing is behind yet the dropped
+        # checkpoint's objects are missing.
+        *_, demotion = [
+            event.fields
+            for event in trace_of(db, "recovery.catchup.request")
+            if event.fields["node"] == "A"
+        ]
+        assert demotion["donor"] == home
+        assert demotion["cursors"] == {"F": 1}
+
+    def test_tainted_demotion_behind_the_cut_receives_a_checkpoint(self):
+        """Two failovers: the ex-home rewinds to the first cut's start
+        and is still behind the second when it asks to catch up."""
+        db = make_db(
+            availability=AvailabilityConfig(**FAST),
+            recovery=RecoveryConfig(checkpoint_every=3),
+            replicas=("A", "B", "C", "D", "E"),
+        )
+        self.isolate_commit_and_crash(db)
+        first = db.agents["ag"].home_node
+        db.submit_update("ag", write_body("x", 2), writes=["x"])
+        db.run(until=db.sim.now + 10)
+        db.fail_node(first)
+        db.run(until=db.sim.now + 80)
+        assert db.metrics.value("avail.failovers") == 2
+        second = db.agents["ag"].home_node
+        db.recover_node("A")
+        db.quiesce()
+        assert db.metrics.value("avail.demotions") == 1
+        assert db.metrics.value("recovery.checkpoints_shipped") >= 1
+        assert db.nodes["A"].store.read("x") == 2
+        self.assert_ex_home_matches(db, second)
 
 
 class TestSuccessionPoll:
@@ -320,6 +411,40 @@ class TestReconfiguration:
         db.submit_update("ag", write_body("x", 9), writes=["x"])
         db.quiesce()
         assert db.nodes["D"].store.read("x") == 9
+        assert db.mutual_consistency().consistent
+
+    def test_join_from_a_busy_donor_without_checkpoint_is_snapshot_seeded(
+        self,
+    ):
+        """The donor checkpoints on demand, and answers once its apply
+        queue has drained — ``y`` was never streamed, so only a
+        snapshot can bring it to the joiner."""
+        db = FragmentedDatabase(["A", "B", "C", "D"], action_delay=1.0)
+        db.add_agent("ag", home_node="C")
+        db.add_fragment("F", agent="ag", objects=["x", "y"])
+        db.set_replication("F", ["A", "B", "C"])
+        db.load({"x": 0, "y": 0})
+        db.finalize()
+        deferred = []
+        checkpoint_now = db.recovery.checkpoint_now
+
+        def spy(node, fragment, gossip=True):
+            ckpt = checkpoint_now(node, fragment, gossip=gossip)
+            deferred.append(ckpt is None)
+            return ckpt
+
+        db.recovery.checkpoint_now = spy
+        for value in range(1, 6):
+            db.submit_update("ag", write_body("x", value), writes=["x"])
+        db.run(until=2.5)  # all five have reached A; one installs per tick
+        assert db.nodes["A"].apply_queue.depth("F") > 0
+        assert db.nodes["A"].checkpoints.get("F") is None
+        db.add_replica("F", "D")
+        db.quiesce()
+        assert deferred[0] and deferred[-1] is False
+        assert db.metrics.value("recovery.checkpoints_shipped") == 1
+        assert db.nodes["D"].store.snapshot() == {"x": 5, "y": 0}
+        assert "F" not in db.syncing_replicas
         assert db.mutual_consistency().consistent
 
     def test_syncing_joiner_does_not_count(self):
