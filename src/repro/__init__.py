@@ -79,7 +79,7 @@ from repro.replication import (
     QuorumConfig,
     ReplicationPipeline,
 )
-from repro.runtime import AsyncioScheduler, FaultProxy, TcpMeshNetwork
+from repro.runtime import AsyncioScheduler, TcpMeshNetwork
 from repro.serve import FrontDoor, serve_frontdoor
 
 __version__ = "1.0.0"
@@ -94,7 +94,6 @@ __all__ = [
     "ControlStrategy",
     "CorrectiveMoveProtocol",
     "DesignError",
-    "FaultProxy",
     "FixedAgentsProtocol",
     "FragmentCheckpoint",
     "FragmentedDatabase",

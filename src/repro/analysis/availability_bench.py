@@ -18,8 +18,7 @@ accounting layer against the measured ground truth:
 * **contrast** — the supervised accountant's worst window and
   availability beat the unsupervised run's, mirroring E20's headline;
 * against the committed ``BENCH_obs.json``, the whole record must
-  match exactly (and availability must not regress beyond tolerance,
-  for partially regenerated records).
+  match exactly.
 
 Run it with ``python -m repro experiment E21`` (see
 :mod:`repro.analysis.experiments`).
@@ -46,9 +45,6 @@ from repro.obs.timeline import TimelineSampler
 #: the bench hashes every record, and 5-tick resolution is plenty to
 #: catch the kill/failover shape on a 200-tick horizon).
 SAMPLE_TICK = 5.0
-
-#: Gate slack on supervised write-availability regression.
-TOLERANCE = 0.05
 
 #: Kills fire at 60 + 15*i in the E20 workload (see failover_bench).
 KILL_BASE = 60.0
@@ -267,16 +263,6 @@ def gates(result: dict, committed: dict | None = None) -> list[str]:
         )
 
     if committed is not None:
-        floor = committed["supervised"]["write_availability"] * (
-            1.0 - TOLERANCE
-        )
-        if on["write_availability"] < floor:
-            messages.append(
-                f"supervised availability {on['write_availability']} "
-                f"regressed below {floor:.4f} (committed "
-                f"{committed['supervised']['write_availability']} - "
-                f"{TOLERANCE:.0%})"
-            )
         if committed != result:
             messages.append(
                 "deterministic record diverges from the committed "

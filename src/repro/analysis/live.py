@@ -7,12 +7,14 @@ runtime (real TCP between nodes), fronted by the HTTP
 
 * :func:`build_system` boots that stack — ``repro serve`` serves it
   until Ctrl-C.
-* :func:`run_live_chaos` is ``repro chaos --backend=asyncio``: every
-  node's traffic flows through a seeded frame-dropping fault proxy, one
-  agent home is hard-killed (socket blackhole + crash) mid-workload,
-  and the bar is the simulator nemesis's: every client write commits —
-  via the front door's queue-and-retry riding the supervisor's
-  failover — and the §4.4 audit over the captured live trace is clean.
+* :func:`run_live_chaos` is ``repro chaos --backend=asyncio``: the
+  simulator's seeded :class:`~repro.net.faults.FaultPlan` drops and
+  duplicates frames on the real sockets, one agent home is hard-killed
+  (crash behind the mesh's ``down_guard``, links left up)
+  mid-workload, and the bar is the simulator nemesis's: every client
+  write commits — via the front door's queue-and-retry riding the
+  supervisor's failover — and the §4.4 audit over the captured live
+  trace is clean.
 
 Throughput and latency of this path are the benchmark's business
 (``python3 -m bench``, workloads ``http_*``), not this module's.
@@ -30,6 +32,7 @@ from typing import Any
 from repro.analysis.audit import audit_events
 from repro.availability import AvailabilityConfig
 from repro.core.system import FragmentedDatabase
+from repro.net.faults import FaultPlan
 from repro.serve import FrontDoor
 
 #: Default workload shape.
@@ -46,7 +49,8 @@ def build_system(
     fragments: int = DEFAULT_FRAGMENTS,
     factor: int = DEFAULT_FACTOR,
     tick: float = DEFAULT_TICK,
-    fault_profile: dict[str, Any] | None = None,
+    faults: FaultPlan | None = None,
+    seed: int = 0,
     trace_path: str | None = None,
     trace_append: bool = False,
     trace_run: str | None = None,
@@ -59,7 +63,8 @@ def build_system(
         tick=tick,
         replication_factor=factor,
         availability=AvailabilityConfig(),
-        fault_profile=fault_profile,
+        faults=faults,
+        seed=seed,
     )
     for i in range(fragments):
         home = names[i % nodes]
@@ -99,7 +104,7 @@ def _drive_workload(
 ) -> dict[str, Any]:
     """Fire ``updates`` HTTP writes from ``clients`` threads, with a kill.
 
-    Agent 0's home node is hard-killed (socket blackhole + crash,
+    Agent 0's home node is hard-killed (crash behind ``down_guard``,
     topology untouched) once a third of the updates have committed, and
     revived after two thirds — the middle third must ride the
     supervisor's failover via front-door retries.
@@ -161,23 +166,24 @@ def _drive_workload(
 
 
 def run_live_chaos(
+    faults: FaultPlan,
     seed: int = 0,
-    drop: float = 0.05,
-    delay: float = 0.002,
     trace_path: str | None = None,
     trace_append: bool = False,
 ) -> dict:
-    """Chaos on the real backend: seeded frame drops + a hard kill.
+    """Chaos on the real backend: seeded message faults + a hard kill.
 
-    Every node's traffic flows through a frame-aware fault proxy that
-    drops ``drop`` of frames and delays the rest by ``delay`` seconds;
-    one agent home is hard-killed and revived mid-run.  The guarantee
-    bar is the same as the simulator nemesis: every client update
-    commits, the kill is carried by a supervisor failover, and the
-    §4.4 audit over the captured trace is clean.
+    ``faults`` is injected by the same
+    :class:`~repro.net.faults.FaultInjector` as in the simulator, drawn
+    from the database's ``seed``; one agent home is hard-killed and
+    revived mid-run.  The guarantee bar is the same as the simulator
+    nemesis: every client update commits, the kill is carried by a
+    supervisor failover, and the §4.4 audit over the captured trace is
+    clean.
     """
     db = build_system(
-        fault_profile={"drop": drop, "delay": delay, "seed": seed},
+        faults=faults,
+        seed=seed,
         trace_path=trace_path,
         trace_append=trace_append,
         trace_run=f"live@{seed}",
@@ -195,12 +201,13 @@ def run_live_chaos(
         )
         time.sleep(0.5)
         report = audit_events(e.as_dict() for e in db.tracer.events())
-        proxies = db.network.proxies.values()
+        value = db.metrics.value
         stats = {
-            "frames_dropped": sum(p.frames_dropped for p in proxies),
-            "frames_blackholed": sum(p.frames_blackholed for p in proxies),
-            "retransmits": db.metrics.value("retrans.resent"),
-            "failovers": db.metrics.value("avail.failovers"),
+            "dropped": value("fault.messages_dropped"),
+            "duplicated": value("fault.messages_duplicated"),
+            "dropped_down": value("tcp.frames_dropped_down"),
+            "retransmits": value("retrans.resent"),
+            "failovers": value("avail.failovers"),
         }
     finally:
         db.tracer.close()
@@ -209,8 +216,8 @@ def run_live_chaos(
     return {
         "backend": "asyncio",
         "seed": seed,
-        "drop": drop,
-        "delay": delay,
+        "loss_rate": faults.loss_rate,
+        "dup_rate": faults.dup_rate,
         "audit_ok": report.ok,
         "audit_violations": report.violation_count,
         "respects_guarantees": (

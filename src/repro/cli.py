@@ -338,11 +338,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos_asyncio(args: argparse.Namespace) -> int:
-    """Chaos on the real backend: fault proxies + hard kills over TCP."""
+    """Chaos on the real backend: the FaultPlan + a hard kill over TCP."""
     from repro.analysis.live import run_live_chaos
+    from repro.errors import DesignError
+    from repro.net.faults import FaultPlan
 
-    drop = args.loss_rate if args.loss_rate is not None else 0.05
-    delay = (args.jitter / 1000.0) if args.jitter is not None else 0.002
+    faults = FaultPlan(
+        loss_rate=args.loss_rate if args.loss_rate is not None else 0.05,
+        dup_rate=args.dup_rate or 0.0,
+        jitter=args.jitter or 0.0,
+    )
     seeds = (
         range(args.seed, args.seed + args.seeds)
         if args.seeds
@@ -353,20 +358,24 @@ def _cmd_chaos_asyncio(args: argparse.Namespace) -> int:
     rows = []
     violations = []
     for seed in seeds:
-        result = run_live_chaos(
-            seed=seed,
-            drop=drop,
-            delay=delay,
-            trace_path=args.trace,
-            trace_append=True,
-        )
+        try:
+            result = run_live_chaos(
+                faults,
+                seed=seed,
+                trace_path=args.trace,
+                trace_append=True,
+            )
+        except DesignError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if not result["respects_guarantees"]:
             violations.append(seed)
         rows.append([
             seed,
             f"{result['committed']}/{result['submitted']}",
-            result["frames_dropped"],
-            result["frames_blackholed"],
+            result["dropped"],
+            result["duplicated"],
+            result["dropped_down"],
             result["retransmits"],
             result["failovers"],
             result["retries"],
@@ -377,12 +386,12 @@ def _cmd_chaos_asyncio(args: argparse.Namespace) -> int:
         ])
     print(
         format_table(
-            ["seed", "committed", "dropped", "blackholed", "retrans",
+            ["seed", "committed", "drops", "dups", "down-drops", "retrans",
              "failovers", "http-retries", "throughput", "audit", "verdict"],
             rows,
             title=(
-                f"chaos --backend=asyncio (real TCP; proxy drop={drop}, "
-                f"delay={delay}s, one hard kill per run)"
+                f"chaos --backend=asyncio (real TCP; loss={faults.loss_rate}, "
+                f"dup={faults.dup_rate}, one hard kill per run)"
             ),
         )
     )
@@ -405,17 +414,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.analysis.live import build_system
     from repro.serve import FrontDoor
 
-    fault_profile = None
-    if args.drop or args.delay:
-        fault_profile = {
-            "drop": args.drop, "delay": args.delay, "seed": args.seed
-        }
     db = build_system(
         nodes=args.nodes,
         fragments=args.fragments,
         factor=args.factor,
         tick=args.tick,
-        fault_profile=fault_profile,
         trace_path=args.trace,
     )
     db.start_runtime()
@@ -819,9 +822,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--backend", choices=["sim", "asyncio"], default="sim",
         help="sim: seeded nemesis in the simulator (default); asyncio: "
-        "real TCP with frame-dropping fault proxies, one hard kill per "
-        "run, HTTP-driven workload (maps --loss-rate to the proxy drop "
-        "probability and --jitter milliseconds to the proxy delay)",
+        "real TCP under the same seeded loss/duplication (defaults: "
+        "loss 0.05, dup 0; --jitter is simulator-only), one hard kill "
+        "per run, HTTP-driven workload",
     )
     _add_fault_args(chaos)
     chaos.set_defaults(func=cmd_chaos)
@@ -986,16 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8378)
-    serve.add_argument(
-        "--drop", type=float, default=0.0, metavar="P",
-        help="arm fault proxies dropping each frame with probability P",
-    )
-    serve.add_argument(
-        "--delay", type=float, default=0.0, metavar="SECONDS",
-        help="arm fault proxies delaying each frame this long",
-    )
-    serve.add_argument("--seed", type=int, default=0,
-                       help="fault-proxy RNG seed (with --drop)")
     serve.add_argument(
         "--trace", default=None, metavar="PATH",
         help="stream the live trace to this JSONL file (auditable with "

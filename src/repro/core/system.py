@@ -126,7 +126,6 @@ class FragmentedDatabase:
         availability: AvailabilityConfig | None = None,
         runtime: str = "sim",
         tick: float = 0.05,
-        fault_profile: Mapping[str, Any] | None = None,
     ) -> None:
         if len(node_names) < 1:
             raise DesignError("at least one node required")
@@ -135,6 +134,14 @@ class FragmentedDatabase:
         if runtime not in ("sim", "asyncio"):
             raise DesignError(
                 f"unknown runtime {runtime!r} (expected 'sim' or 'asyncio')"
+            )
+        if runtime == "asyncio" and faults is not None and faults.jitter:
+            # A real wire supplies its own latency: TcpMeshNetwork
+            # ignores the model value, so injected jitter would do
+            # nothing while the plan claimed it did.
+            raise DesignError(
+                "FaultPlan jitter is simulator-only: runtime='asyncio' "
+                "takes its latency from the wire (use jitter=0)"
             )
         self.runtime_name = runtime
         # The runtime backend: the deterministic discrete-event
@@ -183,18 +190,9 @@ class FragmentedDatabase:
                 self.topology,
                 tracer=self.tracer,
                 metrics=self.metrics,
-                fault_profile=dict(fault_profile)
-                if fault_profile is not None
-                else None,
             )
             self.network.down_guard = self._node_is_down
         else:
-            if fault_profile is not None:
-                raise DesignError(
-                    "fault_profile (socket-level faults) requires "
-                    "runtime='asyncio'; use faults=FaultPlan(...) on the "
-                    "simulator backend"
-                )
             self.network = Network(
                 self.sim,
                 self.topology,
@@ -225,24 +223,14 @@ class FragmentedDatabase:
             )
         else:
             self.transport = None
+        self.injector: FaultInjector | None = None
+        self._faults_armed = False
         if faults is not None:
-            self.injector: FaultInjector | None = FaultInjector(
+            self.injector = FaultInjector(
                 self.network, faults, self.rng.fork("faults")
             )
-            self.injector.install()
-            self.partitions.install(faults.partitions)
-            if runtime == "asyncio":
-                # The real-time scheduler only accepts work once its
-                # loop is up; start_runtime() arms these episodes.
-                self._deferred_crashes: list[CrashEpisode] = list(
-                    faults.crashes
-                )
-            else:
-                self._schedule_crash_episodes(faults.crashes)
-                self._deferred_crashes = []
-        else:
-            self.injector = None
-            self._deferred_crashes = []
+            if runtime == "sim":
+                self._arm_faults()
         self.action_delay = action_delay
         self.agents: dict[str, Agent] = {}
         self._fragment_agent: dict[str, str] = {}
@@ -834,7 +822,8 @@ class FragmentedDatabase:
     # -- runtime lifecycle -------------------------------------------------------
 
     def start_runtime(self) -> None:
-        """Boot the asyncio backend (loop thread, TCP servers, proxies).
+        """Boot the asyncio backend (loop thread, TCP servers) and arm
+        the fault plan's schedule on it.
 
         A no-op on the simulator backend, so harnesses can bracket both
         backends uniformly.  Idempotent.
@@ -843,9 +832,7 @@ class FragmentedDatabase:
             return
         self.sim.start()
         self.network.start()
-        if self._deferred_crashes:
-            self._schedule_crash_episodes(self._deferred_crashes)
-            self._deferred_crashes = []
+        self._arm_faults()
 
     def stop_runtime(self) -> None:
         """Tear the asyncio backend down (no-op on the simulator)."""
@@ -886,8 +873,20 @@ class FragmentedDatabase:
         self.quiesce()
         return bool(predicate())
 
-    def _schedule_crash_episodes(self, crashes: Iterable[CrashEpisode]) -> None:
-        for crash in crashes:
+    def _arm_faults(self) -> None:
+        """Schedule the fault plan's flaps, partitions and crashes, once.
+
+        Called at the first moment the scheduler accepts work: at
+        construction on the simulator, in :meth:`start_runtime` on
+        asyncio.  The order is fixed so same-tick episodes always fire
+        in the same sequence.
+        """
+        if self.injector is None or self._faults_armed:
+            return
+        self._faults_armed = True
+        self.injector.install()
+        self.partitions.install(self.injector.plan.partitions)
+        for crash in self.injector.plan.crashes:
             self.sim.schedule_at(
                 crash.at,
                 lambda c=crash: self._crash_episode(c),
@@ -978,36 +977,29 @@ class FragmentedDatabase:
         The paper-model :meth:`fail_node` marks links down, so the
         network holds outbound traffic for the dead node — clean, but
         simulated.  This variant models a killed process on a real
-        network instead: the node's fault proxy blackholes its traffic
-        (peers' frames are really lost), its database state crashes,
-        and the topology is left *untouched* — senders keep sending,
-        their frames die on the wire, and delivery through the outage
-        is carried entirely by the reliable transport's retransmit
-        budget plus the supervisor's failover.  Call on the protocol
-        thread (``call_on_runtime``).
+        network instead: its database state crashes and the topology
+        is left *untouched* — senders keep sending, the mesh's
+        ``down_guard`` drops every frame that reaches the dead node
+        before the transport could ack it, and delivery through the
+        outage is carried entirely by the reliable transport's
+        retransmit budget plus the supervisor's failover.  Call on the
+        protocol thread (``call_on_runtime``).
         """
         if name not in self.nodes:
             raise DesignError(f"unknown node {name!r}")
         node = self.nodes[name]
         if node.down:
             return
-        proxy = getattr(self.network, "proxies", {}).get(name)
-        if proxy is not None:
-            proxy.kill()
         node.crash()
         self.metrics.inc("node.crashes")
         if self.tracer.enabled:
             self.tracer.emit(taxonomy.NODE_CRASH, node=name, hard=True)
 
     def hard_revive_node(self, name: str) -> None:
-        """Undo :meth:`hard_kill_node`: unblackhole, then WAL recovery."""
+        """Undo :meth:`hard_kill_node`: WAL recovery and catch-up."""
         if name not in self.nodes:
             raise DesignError(f"unknown node {name!r}")
-        node = self.nodes[name]
-        proxy = getattr(self.network, "proxies", {}).get(name)
-        if proxy is not None:
-            proxy.revive()
-        if node.down:
+        if self.nodes[name].down:
             self._rejoin(name, hard=True)
 
     # -- agent movement -----------------------------------------------------------

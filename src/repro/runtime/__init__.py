@@ -22,14 +22,12 @@ selects the backend.
 
 from repro.runtime.api import Clock, SchedulerProtocol, SimClock, TransportProtocol, WallClock, wall_clock
 from repro.runtime.codec import WireCodec, default_codec
-from repro.runtime.proxy import FaultProxy
 from repro.runtime.scheduler import AsyncioScheduler
 from repro.runtime.tcp import TcpMeshNetwork
 
 __all__ = [
     "AsyncioScheduler",
     "Clock",
-    "FaultProxy",
     "SchedulerProtocol",
     "SimClock",
     "TcpMeshNetwork",

@@ -20,9 +20,7 @@ envelope field or a dataclass whose fields do not fit its class is a
 :class:`CodecError` at decode time.
 
 Frames on the socket are ``4-byte big-endian length + JSON body`` —
-self-delimiting, so one TCP connection carries any number of messages
-and a frame-aware fault proxy can drop or delay whole messages without
-corrupting the stream.
+self-delimiting, so one TCP connection carries any number of messages.
 """
 
 from __future__ import annotations

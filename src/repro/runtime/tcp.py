@@ -15,15 +15,18 @@ FIFO queue — TCP's byte ordering then gives the per-channel FIFO the
 simulated network enforced with a delivery-time floor.  Frames are the
 length-prefixed JSON of :mod:`repro.runtime.codec`.
 
-Faults: with a ``fault_profile`` armed, peers dial each node through a
-frame-aware :class:`~repro.runtime.proxy.FaultProxy` that can drop,
-delay, or blackhole ("kill") traffic — so loss is *real* loss on a
-real socket, repaired by the same ``ReliableTransport`` retransmits
-that repair simulated loss.  A killed node additionally refuses
-delivery via ``down_guard`` *before* the transport's intercept, so a
-crashed node can never acknowledge a packet its database never saw.
+Faults: the one :class:`~repro.net.faults.FaultInjector` of the
+simulator runs here unchanged — it decides at the inherited
+``_schedule_delivery`` step, just before :meth:`put_on_wire`, so a
+``FaultPlan``'s loss drops a frame before it reaches the socket and
+its duplication writes a frame twice, repaired by the same
+``ReliableTransport`` that repairs them in the simulator.  Jitter has
+no meaning here (the wire supplies its own latency).  A node killed
+with ``hard_kill_node`` keeps its links up; ``down_guard`` refuses its
+inbound frames *before* the transport's intercept, so a crashed node
+can never acknowledge a packet its database never saw.
 
-The sim-style fault path still works too, by the inherited channel
+The paper-model kill works too, by the inherited channel
 rule: ``fail_node`` holds the node's links down, sends wait at the
 sender's edge and the inherited ``change_links`` releases them through
 this class's transmission override — onto the socket — while a frame
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 import asyncio
 from collections.abc import Callable
-from typing import Any
 
 from repro.errors import NetworkError
 from repro.net.message import Message
@@ -45,7 +47,6 @@ from repro.net.topology import Topology
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.runtime.codec import MAX_FRAME, CodecError, WireCodec, default_codec
-from repro.runtime.proxy import FaultProxy
 from repro.runtime.scheduler import AsyncioScheduler
 
 #: Connection attempts per frame before the frame is dropped (the
@@ -65,7 +66,6 @@ class TcpMeshNetwork(Network):
         metrics: MetricsRegistry | None = None,
         codec: WireCodec | None = None,
         host: str = "127.0.0.1",
-        fault_profile: dict[str, Any] | None = None,
     ) -> None:
         super().__init__(sim, topology, tracer=tracer, metrics=metrics)
         self.codec = codec or default_codec()
@@ -74,13 +74,8 @@ class TcpMeshNetwork(Network):
         #: node's frames are dropped *before* the reliable transport
         #: can acknowledge them (set by the owning system).
         self.down_guard: Callable[[str], bool] | None = None
-        #: Fault-proxy knobs (``{"drop": p, "delay": s, "seed": n}``);
-        #: None runs direct connections with no proxy layer.
-        self.fault_profile = fault_profile
-        self.proxies: dict[str, FaultProxy] = {}
         self._servers: dict[str, asyncio.base_events.Server] = {}
         self._ports: dict[str, int] = {}
-        self._dial: dict[str, int] = {}
         self._queues: dict[tuple[str, str], asyncio.Queue] = {}
         self._senders: dict[tuple[str, str], asyncio.Task] = {}
         self._conn_tasks: set[asyncio.Task] = set()
@@ -98,7 +93,7 @@ class TcpMeshNetwork(Network):
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Bind one server (and optional proxy) per registered node."""
+        """Bind one server per registered node."""
         if self._started:
             return
         self._closed = False
@@ -115,25 +110,9 @@ class TcpMeshNetwork(Network):
             port = server.sockets[0].getsockname()[1]
             self._servers[node] = server
             self._ports[node] = port
-            self._dial[node] = port
-        if self.fault_profile is not None:
-            profile = self.fault_profile
-            for node, port in self._ports.items():
-                proxy = FaultProxy(
-                    node,
-                    self.host,
-                    port,
-                    drop=float(profile.get("drop", 0.0)),
-                    delay=float(profile.get("delay", 0.0)),
-                    seed=int(profile.get("seed", 0)),
-                    metrics=self.metrics,
-                )
-                await proxy.start()
-                self.proxies[node] = proxy
-                self._dial[node] = proxy.port
 
     def stop(self) -> None:
-        """Close servers, sender tasks, proxies; idempotent."""
+        """Close servers and sender tasks; idempotent."""
         if not self._started or not self.sim.running:
             return
         self.sim.run_coroutine(self._stop())
@@ -177,8 +156,6 @@ class TcpMeshNetwork(Network):
                     task.cancel()
         self._conn_tasks.clear()
         self._conn_writers.clear()
-        for proxy in self.proxies.values():
-            await proxy.stop()
         for server in self._servers.values():
             await server.wait_closed()
         self._servers.clear()
@@ -194,9 +171,9 @@ class TcpMeshNetwork(Network):
 
     def put_on_wire(self, message: Message, latency: float) -> None:
         # The simulated backend turns ``latency`` into a delivery event;
-        # here the wire supplies its own latency (plus whatever the
-        # fault proxy injects), so the model value is ignored.  Holds
-        # and partition semantics already happened in ``_transmit``.
+        # here the wire supplies its own latency, so the model value
+        # (and any injected jitter) is ignored.  Holds, partition
+        # semantics and injected loss already happened upstream.
         if self._closed:
             self._c_frames_lost.inc()
             return
@@ -229,7 +206,7 @@ class TcpMeshNetwork(Network):
                     if writer is None or writer.is_closing():
                         try:
                             _, writer = await asyncio.open_connection(
-                                self.host, self._dial[dst]
+                                self.host, self._ports[dst]
                             )
                         except OSError:
                             writer = None

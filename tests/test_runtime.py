@@ -20,6 +20,7 @@ from repro.core.system import FragmentedDatabase
 from repro.core.transaction import QuasiTransaction
 from repro.errors import DesignError, SimulationError
 from repro.net.broadcast import SeqPayload
+from repro.net.faults import FaultInjector, FaultPlan, LinkFlap
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.reliable import ReliableConfig, ReliableTransport, RPacket
@@ -34,6 +35,7 @@ from repro.runtime.codec import MAX_FRAME, CodecError, WireCodec, default_codec
 from repro.runtime.scheduler import AsyncioScheduler
 from repro.runtime.tcp import TcpMeshNetwork
 from repro.sim import Simulator
+from repro.sim.rng import SeededRng
 
 # ---------------------------------------------------------------------------
 # Wire codec
@@ -376,7 +378,7 @@ def test_tcp_mesh_hard_kill_failover_recommits():
         assert db.wait_until(lambda: first.succeeded, timeout=15.0)
 
         db.call_on_runtime(lambda: db.hard_kill_node("A"))
-        # Hard kill: socket blackhole + crash, topology untouched.  The
+        # Hard kill: crash behind down_guard, topology untouched.  The
         # supervisor must detect via missed heartbeats and re-home the
         # agent; a client retry loop then lands the write at the new home.
         deadline = time.monotonic() + 30.0
@@ -422,14 +424,10 @@ def assert_closed_by_peer(conn: socket.socket) -> None:
     assert conn.recv(1) == b""
 
 
-@pytest.mark.parametrize("through_proxy", [False, True])
-def test_oversized_length_prefix_closes_the_connection(sched, through_proxy):
-    net, received = start_mesh(
-        sched, fault_profile={"drop": 0.0} if through_proxy else None
-    )
+def test_oversized_length_prefix_closes_the_connection(sched):
+    net, received = start_mesh(sched)
     try:
-        port = net.proxies["B"].port if through_proxy else net.port_of("B")
-        with socket.create_connection(("127.0.0.1", port)) as conn:
+        with socket.create_connection(("127.0.0.1", net.port_of("B"))) as conn:
             conn.sendall((MAX_FRAME + 1).to_bytes(4, "big") + b"x" * 64)
             assert_closed_by_peer(conn)
         assert net.metrics.value("tcp.frames_undecodable") == 1
@@ -486,9 +484,53 @@ def test_stop_under_retransmit_traffic_leaves_no_pending_task(sched):
     sched.check()
 
 
-def test_fault_profile_requires_asyncio_runtime():
-    with pytest.raises(DesignError, match="fault_profile"):
-        FragmentedDatabase(["A", "B"], fault_profile={"drop": 0.1})
+# ---------------------------------------------------------------------------
+# The FaultPlan on real sockets
+
+
+def test_fault_plan_loss_and_duplication_on_real_sockets(sched):
+    # The simulator's injector, unchanged, in front of put_on_wire: a
+    # dropped frame never reaches the socket, a duplicate is written
+    # twice, and the reliable transport hands each send over once.
+    net = TcpMeshNetwork(sched, Topology.full_mesh(["A", "B"]))
+    FaultInjector(net, FaultPlan(loss_rate=0.2, dup_rate=0.2), SeededRng(1))
+    transport = ReliableTransport(net)
+    received = []
+    net.register("A", lambda m: None)
+    net.register("B", lambda m: received.append(m.payload))
+    net.start()
+    try:
+        sched.invoke(lambda: [net.send("A", "B", "m", i) for i in range(200)])
+        assert sched.wait_until(
+            lambda: transport.unacked_count() == 0, timeout=30.0
+        )
+        assert received == list(range(200))
+        assert net.metrics.value("fault.messages_dropped") > 0
+        assert net.metrics.value("retrans.duplicates_dropped") > 0
+    finally:
+        net.stop()
+    sched.check()
+
+
+def test_fault_plan_schedule_arms_when_the_runtime_starts():
+    # Constructing this used to raise "runtime not started": only the
+    # plan's crashes waited for the loop, not its flaps or partitions.
+    db = build_db(faults=FaultPlan(flaps=[LinkFlap(20.0, "A", "B", 100.0)]))
+    link = db.topology.link("A", "B")
+    with db:
+        assert db.wait_until(lambda: not link.up, timeout=10.0)
+        assert db.wait_until(lambda: link.up, timeout=10.0)
+    assert db.metrics.value("fault.flaps") == 1
+    db.sim.check()
+
+
+def test_fault_plan_jitter_requires_the_sim_runtime():
+    # The wire supplies the latency on real sockets: jitter would be a
+    # fault the plan claims and the run never suffers.
+    with pytest.raises(DesignError, match="jitter"):
+        FragmentedDatabase(
+            ["A", "B"], runtime="asyncio", faults=FaultPlan(jitter=1.0)
+        )
 
 
 # ---------------------------------------------------------------------------

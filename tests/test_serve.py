@@ -429,8 +429,9 @@ def test_live_chaos_driver_rides_a_failover():
     carried by a supervisor failover, every client write commits and
     the audit over the live trace is clean."""
     from repro.analysis.live import run_live_chaos
+    from repro.net.faults import FaultPlan
 
-    result = run_live_chaos(seed=0, drop=0.0)
+    result = run_live_chaos(FaultPlan(), seed=0)
     assert result["committed"] == result["submitted"] == 40, result
     assert result["failovers"] >= 1
     assert result["audit_ok"], result
