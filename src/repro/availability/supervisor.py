@@ -23,8 +23,11 @@ availability supervisor closes that loop:
    election happens as soon as every polled replica has voted; only a
    poll still missing a vote waits out ``succession_timeout``.
 
-3. **Epoch cut** — the successor opens a new epoch at its post-poll
-   stream head.  Updates the dead home committed but never propagated
+3. **Epoch cut** — the token lands once the successor holds every
+   update a still-live home sent before it left (a spurious suspicion
+   must not orphan acknowledged writes; bounded by
+   ``succession_timeout``), and the successor opens a new epoch at its
+   post-poll stream head.  Updates the dead home committed but never propagated
    sit *above* that head in the old epoch: the cut declares them lost
    (the paper's availability trade-off — Section 2's orphans, made
    explicit and counted in ``avail.updates_discarded``).  The cut is
@@ -553,6 +556,31 @@ class AvailabilitySupervisor:
                 to=successor,
                 transport_delay=self.config.takeover_delay,
             )
+        agent = system.agents[state.agent]
+        give_up = (
+            system.sim.now
+            + self.config.takeover_delay
+            + self.config.succession_timeout
+        )
+
+        def landed() -> bool:
+            # A suspected home that is in fact up (its pongs stuck behind
+            # a slow channel) sent every update it committed before the
+            # token left, and the network will deliver them: cutting
+            # before they arrive would orphan acknowledged writes.  A
+            # down home's unsent suffix never comes, so nothing waits.
+            node = system.nodes[successor]
+            return (
+                system.nodes[state.home].down
+                or node.down  # _takeover aborts
+                or system.sim.now >= give_up
+                or all(
+                    node.streams.next_expected[fragment]
+                    >= agent.token_for(fragment).payload.get("next_seq", 0)
+                    for fragment in state.fragments
+                )
+            )
+
         # The shared transport, not the protocol's request_move: every
         # protocol's move handshake involves the (dead) old home.
         system.movement._transport(
@@ -561,6 +589,7 @@ class AvailabilitySupervisor:
             successor,
             self.config.takeover_delay,
             lambda: self._takeover(state, successor),
+            landed,
         )
 
     def _takeover(self, state: _Succession, successor: str) -> None:

@@ -103,13 +103,16 @@ class MovementProtocol:
         to_node: str,
         transport_delay: float,
         arrive: Callable[[], None],
+        landed: Callable[[], bool] | None = None,
     ) -> None:
         """Common physical-token transport: mark in transit, then arrive.
 
         While a token is in transit, update submissions for its
         fragment are rejected (the agent is on the road; see
         ``FragmentedDatabase.submit``); the arrival wakes the waiters
-        on such refusals once ``arrive`` has run.
+        on such refusals once ``arrive`` has run.  With ``landed``, the
+        token stays on the road after ``transport_delay``, rechecked
+        every tick, until ``landed()`` is true.
         """
         agent = system.agents[agent_name]
         from_node = agent.home_node
@@ -125,6 +128,11 @@ class MovementProtocol:
             )
 
         def complete() -> None:
+            if landed is not None and not landed():
+                system.sim.schedule(
+                    1.0, complete, label=f"token arrival {agent_name}"
+                )
+                return
             for fragment in agent.fragments:
                 agent.token_for(fragment).complete_move()
             agent.home_node = to_node

@@ -148,8 +148,9 @@ class FragmentedDatabase:
         # simulator, or the real-time asyncio scheduler + TCP mesh
         # (same duck-typed surface; see repro.runtime).  The asyncio
         # backend needs an explicit start_runtime()/stop_runtime()
-        # bracket and thread-safe observability (HTTP front-door
-        # threads read metrics while the loop thread writes them).
+        # bracket and thread-safe observability (tests, the benchmark
+        # and the front door's page renderer read metrics and the trace
+        # ring from other threads while the loop thread writes them).
         if runtime == "asyncio":
             from repro.runtime.scheduler import AsyncioScheduler
 
@@ -851,10 +852,10 @@ class FragmentedDatabase:
     def call_on_runtime(self, fn: Callable[[], Any], timeout: float = 30.0) -> Any:
         """Run ``fn`` on the protocol thread and return its result.
 
-        On the asyncio backend this marshals onto the loop thread (the
-        HTTP front door submits transactions this way); on the simulator
-        it simply calls ``fn`` — protocol state is single-threaded
-        either way.
+        On the asyncio backend this marshals onto the loop thread (how
+        another thread reads or changes protocol state); on the
+        simulator it simply calls ``fn`` — protocol state is
+        single-threaded either way.
         """
         if self.runtime_name == "asyncio":
             return self.sim.invoke(fn, timeout=timeout)

@@ -19,25 +19,28 @@ SVG, no external assets, no third-party libraries:
 * the accountant's SLO summary table per run.
 
 ``repro dashboard --html`` writes the file; ``repro dashboard
---serve`` wraps the same renderer in a stdlib :mod:`http.server` with
-a server-sent-events endpoint that pings when the trace file grows, so
+--serve`` wraps the same renderer in :class:`HttpServer` (the front
+door's server too) with a server-sent-events endpoint that pings when the trace file grows, so
 a browser tab tracks a running experiment live (the page re-renders
 from the current file contents on every ping).
 """
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import html as _html
-import http.server
 import json
 import os
-import time
-from collections.abc import Callable
+import threading
+from collections.abc import Awaitable, Callable
+from http import HTTPStatus
 from typing import Any
 
 from repro.obs import taxonomy
 from repro.obs.availability import AvailabilityAccountant, account_events
 from repro.obs.summary import read_trace
+from repro.runtime.tcp import close_listener
 
 #: Time buckets across the heatmap / derived-rate x-axis.
 HEATMAP_BUCKETS = 60
@@ -566,66 +569,256 @@ def dashboard_from_trace(
 # -- live server -----------------------------------------------------------
 
 
-class ResponseHandler(http.server.BaseHTTPRequestHandler):
-    """The response writer of both HTTP surfaces (this dashboard and
-    the front door, :mod:`repro.serve.app`): **one segment** per reply.
+JSON = "application/json"
+HTML = "text/html; charset=utf-8"
 
-    Status line, headers and body leave in a single write on a
-    ``TCP_NODELAY`` socket.  Sent as two on a Nagle socket, the body
-    waits ~40 ms for the client's delayed ACK of the headers.
+#: A request head longer than this is answered 431, a body declared
+#: longer than this 413; both close the connection.
+MAX_HEAD_BYTES = 1 << 16
+MAX_BODY_BYTES = 1 << 20
+
+#: How long a closing connection keeps reading what its client still
+#: sends, so that the last reply is not destroyed by a reset.
+LINGER = 1.0
+
+#: ``respond(method, path, body)`` -> ``(status, body, content type)``.
+Respond = Callable[[str, str, bytes], Awaitable[tuple[int, bytes, str]]]
+
+
+def http_reply(
+    code: int, body: bytes, content_type: str, close: bool = False
+) -> bytes:
+    """One whole HTTP/1.1 response — status line, headers and body — as
+    the bytes of the single write :class:`HttpServer` sends it in.
+
+    Sent as two writes on a Nagle socket, the body waits ~40 ms for the
+    client's delayed ACK of the headers; so the sockets are also
+    ``TCP_NODELAY`` (asyncio's default for TCP).
+    """
+    head = (
+        f"HTTP/1.1 {code} {HTTPStatus(code).phrase}\r\n"
+        f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n"
+        + ("Connection: close\r\n\r\n" if close else "\r\n")
+    )
+    return head.encode("latin-1") + body
+
+
+class HttpServer:
+    """HTTP/1.1 keep-alive on an asyncio loop: the one server of both
+    HTTP surfaces, the front door (:mod:`repro.serve.app`) and
+    ``repro dashboard --serve``.
+
+    ``respond`` answers every request but ``GET /events``, the
+    server-sent-events stream of ``probe`` (``data: grew`` whenever
+    ``probe()`` changes; the page's inline script reloads on each ping).
+    A connection's requests are read and answered in order.  The next
+    request is read while one is answered, so a client that hangs up
+    cancels its pending request — a half-close (``shutdown(SHUT_WR)``)
+    counts as a hang-up.  A head over ``MAX_HEAD_BYTES`` is answered
+    431, a body over ``MAX_BODY_BYTES`` 413, an unframeable request
+    400, and the connection closes.
     """
 
-    disable_nagle_algorithm = True
-
-    def log_message(self, *args: Any) -> None:
-        pass  # quiet: the dashboard and the metrics are the output
-
-    def send_body(self, code: int, body: bytes, content_type: str) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        # end_headers() with the body riding in the same write.
-        self._headers_buffer.extend((b"\r\n", body))
-        self.flush_headers()
-
-    def send_json(self, code: int, payload: Any) -> None:
-        body = json.dumps(payload, default=str).encode()
-        self.send_body(code, body, "application/json")
-
-    def send_html(self, page: str) -> None:
-        self.send_body(200, page.encode(), "text/html; charset=utf-8")
-
-    def stream_events(
-        self, probe: Callable[[], Any], interval: float, max_pings: int | None
+    def __init__(
+        self,
+        respond: Respond,
+        probe: Callable[[], Any],
+        interval: float,
+        max_pings: int | None = None,
     ) -> None:
-        """Server-sent events: ``data: grew`` whenever ``probe()`` changes.
+        self.respond = respond
+        self.probe = probe
+        self.interval = interval
+        self.max_pings = max_pings
+        self.server: asyncio.base_events.Server | None = None
+        #: One task per open connection, the one :meth:`close` cancels.
+        self.connections: set[asyncio.Task] = set()
 
-        The page's inline script reloads on each ping.  Ends after
-        ``max_pings`` (tests), when the client goes away, or when the
-        probe raises ``OSError`` (the watched file vanished).
-        """
+    async def start(self, host: str, port: int) -> int:
+        """Listen on the running loop; returns the bound port."""
+        self.server = await asyncio.start_server(
+            self._serve, host, port, limit=MAX_HEAD_BYTES
+        )
+        return self.server.sockets[0].getsockname()[1]
+
+    async def close(self) -> None:
+        """Stop listening and end every connection, mid-request or not."""
+        await close_listener(self.server)
+        for task in self.connections:
+            task.cancel()
+        await asyncio.gather(*self.connections, return_exceptions=True)
+        await self.server.wait_closed()
+        await asyncio.sleep(0)  # the aborted transports finish closing
+
+    async def _serve(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        talk = asyncio.get_running_loop().create_task(
+            self._talk(reader, writer)
+        )
+        self.connections.add(talk)
         try:
-            # Read before the headers go: whatever happens after the
-            # client sees the stream open must produce a ping.
-            last = probe()
-            self.send_response(200)
-            self.send_header("Content-Type", "text/event-stream")
-            self.send_header("Cache-Control", "no-cache")
-            self.end_headers()
-            # An EventSource blocks until the status line arrives: it
-            # must not sit in a write buffer waiting for the first ping.
-            self.wfile.flush()
+            await talk
+        except asyncio.CancelledError:
+            if not talk.cancelled() or asyncio.current_task().cancelling():
+                raise
+            writer.transport.abort()  # close() ended the conversation
+        finally:
+            self.connections.discard(talk)
+
+    async def _talk(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        loop = asyncio.get_running_loop()
+        answer = ahead = loop.create_task(_read_request(reader))
+        try:
+            while request := await ahead:
+                method, path, body, close = request
+                if method == "GET" and path == "/events":
+                    await self._stream_events(writer)
+                    break
+                answer = loop.create_task(self.respond(method, path, body))
+                ahead = loop.create_task(_read_request(reader))
+                ahead.add_done_callback(functools.partial(_hung_up, answer))
+                try:
+                    reply = await answer
+                except asyncio.CancelledError:
+                    if asyncio.current_task().cancelling():
+                        raise
+                    break  # the client hung up: its request was dropped
+                writer.write(http_reply(*reply, close=close))
+                if close:
+                    break
+        except _BadRequest as exc:  # nothing after it can be framed
+            error = json.dumps({"error": str(exc)}).encode()
+            writer.write(http_reply(exc.code, error, JSON, close=True))
+        finally:
+            answer.cancel()
+            ahead.cancel()
+            await asyncio.wait((answer, ahead))  # no read left waiting
+        await _linger(reader, writer)
+
+    async def _stream_events(self, writer: asyncio.StreamWriter) -> None:
+        """``GET /events``, until ``max_pings`` (tests), the client goes
+        away, or the probe raises ``OSError`` (a watched file vanished).
+        The probe is read before the headers go: whatever happens once
+        the client sees the stream open must ping."""
+        try:
+            last = self.probe()
+            writer.write(
+                b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n"
+                b"Cache-Control: no-cache\r\n\r\n"
+            )
             pings = 0
-            while max_pings is None or pings < max_pings:
-                time.sleep(interval)
-                now = probe()
-                if now != last:
+            while not writer.is_closing() and (
+                self.max_pings is None or pings < self.max_pings
+            ):
+                await asyncio.sleep(self.interval)
+                if (now := self.probe()) != last:
                     last = now
-                    self.wfile.write(b"data: grew\n\n")
-                    self.wfile.flush()
+                    writer.write(b"data: grew\n\n")
                     pings += 1
         except OSError:
             pass
+
+
+def _hung_up(answer: asyncio.Task, ahead: asyncio.Task) -> None:
+    """``ahead`` read the client's EOF: drop the request in ``answer``."""
+    if not ahead.cancelled() and ahead.exception() is None:
+        if ahead.result() is None:
+            answer.cancel()
+
+
+class _BadRequest(ValueError):
+    """A request that cannot be framed, answered with ``code``."""
+
+    def __init__(self, code: int, error: str) -> None:
+        super().__init__(error)
+        self.code = code
+
+
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, bytes, bool] | None:
+    """``(method, target, body, close after the reply)``, or None once
+    the client closed."""
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.LimitOverrunError:
+        raise _BadRequest(431, "request header block too large") from None
+    except (asyncio.IncompleteReadError, ConnectionError):
+        return None
+    request_line, *lines = head[:-4].decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines:
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise _BadRequest(400, "malformed request head")
+        headers[name.strip().lower()] = value.strip()
+    parts = request_line.split(" ")
+    length = headers.get("content-length", "0")
+    if len(parts) != 3:
+        raise _BadRequest(400, "malformed request line")
+    if not (length.isascii() and length.isdigit()):
+        raise _BadRequest(400, "Content-Length must be a number")
+    if int(length) > MAX_BODY_BYTES:
+        raise _BadRequest(413, "request body too large")
+    try:
+        body = await reader.readexactly(int(length))
+    except (asyncio.IncompleteReadError, ConnectionError):
+        return None
+    method, target, version = parts
+    close = headers.get("connection", "").lower() == "close"
+    return method, target, body, close or version != "HTTP/1.1"
+
+
+async def _linger(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Close so that the last reply arrives: send FIN, then read and
+    drop what the client still sends (a body after its 413, a request
+    after ``Connection: close``) until it closes too or ``LINGER``
+    passes.  Closed with unread bytes, the socket would answer them with
+    a reset that can destroy the reply in flight."""
+    try:
+        writer.write_eof()
+        async with asyncio.timeout(LINGER):
+            while await reader.read(1 << 16):
+                pass
+    except (OSError, TimeoutError):
+        pass
+    finally:
+        writer.close()
+
+
+class LoopServer:
+    """An :class:`HttpServer` on a loop of its own, driven the way a
+    ``socketserver`` server is: ``serve_forever()`` on one thread,
+    ``shutdown()`` from another, then ``server_close()``."""
+
+    def __init__(self, http: HttpServer, host: str, port: int) -> None:
+        self.http = http
+        self.loop = asyncio.new_event_loop()
+        port = self.loop.run_until_complete(http.start(host, port))
+        self.server_address = (host, port)
+        self._stop = asyncio.Event()
+        self._stopped = threading.Event()
+
+    def serve_forever(self) -> None:
+        try:
+            self.loop.run_until_complete(self._stop.wait())
+            self.loop.run_until_complete(self.http.close())
+        finally:
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        self.loop.call_soon_threadsafe(self._stop.set)
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        if self.http.server.is_serving():  # serve_forever was interrupted
+            self.loop.run_until_complete(self.http.close())
+        self.loop.close()
 
 
 def serve_dashboard(
@@ -635,40 +828,34 @@ def serve_dashboard(
     port: int = 8377,
     poll_interval: float = 1.0,
     max_pings: int | None = None,
-):  # pragma: no cover - exercised via handler unit tests
-    """Serve the dashboard over stdlib HTTP with SSE file-watch reloads.
+) -> LoopServer:
+    """Serve the dashboard over HTTP with SSE file-watch reloads.
 
     ``GET /`` renders the current file contents; ``GET /data.json``
     returns the payload; ``GET /events`` holds a server-sent-events
     stream that pings whenever the trace file grows (the page's inline
     script reloads on ping).  ``max_pings`` bounds the SSE loop for
-    tests.  Returns the configured ``ThreadingHTTPServer`` — call
-    ``serve_forever()`` on it (the CLI does).
+    tests.  Call ``serve_forever()`` on the result (the CLI does).
     """
 
-    class Handler(ResponseHandler):
-        def do_GET(self) -> None:
-            if self.path in ("/", "/index.html"):
-                self.send_html(
-                    dashboard_from_trace(trace_path, timeline_path, live=True)
-                )
-            elif self.path == "/data.json":
-                from repro.obs.timeline import load_jsonl
+    def render(path: str) -> tuple[int, bytes, str]:
+        if path in ("/", "/index.html"):
+            page = dashboard_from_trace(trace_path, timeline_path, live=True)
+            return 200, page.encode(), HTML
+        from repro.obs.timeline import load_jsonl
 
-                events = list(read_trace(trace_path))
-                records = (
-                    load_jsonl(timeline_path) if timeline_path else None
-                )
-                self.send_json(200, build_dashboard_data(events, records))
-            elif self.path == "/events":
-                self.stream_events(
-                    lambda: os.path.getsize(trace_path),
-                    poll_interval,
-                    max_pings,
-                )
-            else:
-                self.send_json(404, {"error": f"no such page {self.path!r}"})
+        events = list(read_trace(trace_path))
+        records = load_jsonl(timeline_path) if timeline_path else None
+        data = build_dashboard_data(events, records)
+        return 200, json.dumps(data, default=str).encode(), JSON
 
-    server = http.server.ThreadingHTTPServer((host, port), Handler)
-    server.daemon_threads = True
-    return server
+    async def respond(method: str, path: str, body: bytes):
+        if method == "GET" and path in ("/", "/index.html", "/data.json"):
+            loop = asyncio.get_running_loop()
+            return await loop.run_in_executor(None, render, path)
+        error = json.dumps({"error": f"no such page {path!r}"}).encode()
+        return 404, error, JSON
+
+    probe = lambda: os.path.getsize(trace_path)  # noqa: E731
+    http = HttpServer(respond, probe, poll_interval, max_pings)
+    return LoopServer(http, host, port)

@@ -18,9 +18,9 @@ timescale turns on one knob.
 **Thread model.**  All scheduled callbacks fire on the loop thread;
 the protocol stack therefore stays effectively single-threaded, exactly
 as under the simulator.  ``schedule``/``cancel`` may be called from any
-thread (the HTTP front door's worker threads marshal through
-:meth:`call_soon` / :meth:`invoke`); bookkeeping that must be exact
-(the pending count) settles on the loop thread.
+thread (other threads marshal through :meth:`call_soon`,
+:meth:`invoke` and :meth:`run_coroutine`); bookkeeping that must be
+exact (the pending count) settles on the loop thread.
 
 **Failure visibility.**  The simulator propagates a callback exception
 out of ``run()``.  A loop callback has no such caller, so exceptions
@@ -223,7 +223,7 @@ class AsyncioScheduler:
         """Run ``fn`` on the loop thread and return its result.
 
         From the loop thread itself this runs inline (so protocol
-        callbacks may use helpers that also serve HTTP threads).
+        callbacks may use helpers that also serve other threads).
         """
         if self._on_loop_thread():
             return fn()

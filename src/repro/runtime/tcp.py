@@ -55,6 +55,24 @@ _CONNECT_ATTEMPTS = 20
 _CONNECT_BACKOFF = 0.05
 
 
+async def close_listener(server: asyncio.base_events.Server) -> None:
+    """Close ``server`` without stranding a connection it accepted.
+
+    An accepted socket becomes a transport one loop iteration after the
+    accept, and if the server closed in between, that step fails and
+    leaks the socket.  So stop accepting first, then let what was
+    accepted attach, reach ``connection_made`` and start its stream
+    handler (one iteration each) before closing, so that the caller's
+    own connection teardown finds it.
+    """
+    loop = asyncio.get_running_loop()
+    for sock in server.sockets:
+        loop.remove_reader(sock.fileno())
+    for _ in range(3):
+        await asyncio.sleep(0)
+    server.close()
+
+
 class TcpMeshNetwork(Network):
     """A real-socket mesh behind the simulated network's interface."""
 
@@ -126,7 +144,7 @@ class TcpMeshNetwork(Network):
         # to send on.
         self._closed = True
         for server in self._servers.values():
-            server.close()
+            await close_listener(server)
         senders = list(self._senders.values())
         for task in senders:
             task.cancel()

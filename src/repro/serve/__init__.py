@@ -1,7 +1,7 @@
 """HTTP front door for a live (asyncio-backed) fragmented database.
 
 :class:`~repro.serve.app.FrontDoor` exposes the database over plain
-stdlib HTTP with **location-transparent routing**: clients address
+stdlib HTTP, served on the runtime's event loop, with **location-transparent routing**: clients address
 *objects*, the front door resolves the owning fragment and its agent's
 current home node through the catalog on every attempt, so a mid-run
 failover (the availability supervisor re-homing an agent) is invisible
@@ -18,8 +18,8 @@ Endpoints::
     GET  /           live dashboard (HTML; /data.json + /events SSE)
     GET  /healthz    liveness probe
 
-Writes that arrive mid-failover are **queued and retried** with a
-bounded admission semaphore: a rejection with a transient cause
+Writes that arrive mid-failover are **queued and retried**, at most
+``max_queued`` at once: a rejection with a transient cause
 (``RefusalCause``: agent home down, token in transit) is retried with a
 fresh transaction until the supervisor completes the failover or the
 deadline passes; terminal rejections surface as 409 immediately.

@@ -1,48 +1,48 @@
 """The HTTP front door: location-transparent access to a live database.
 
-Stdlib-only (``http.server``): a :class:`FrontDoor` wraps one
+Stdlib-only: a :class:`FrontDoor` wraps one
 :class:`~repro.core.system.FragmentedDatabase` running on the asyncio
 runtime and serves writes, reads, catalog/metrics introspection, and
-the PR 9 dashboard over plain HTTP.
+the observability dashboard over HTTP/1.1 keep-alive.
 
-Threading model: ``ThreadingHTTPServer`` handles each request on its
-own thread, but every *protocol* action (submit, catalog-routed
-resubmit) is marshalled onto the runtime's event-loop thread through
-``db.call_on_runtime`` — request threads only ever block on a
-``threading.Event`` that the loop thread sets: the tracker's
-``on_done``, or the wake of a refused write.  Reads of the tracer ring
-and the metrics registry are safe from any thread once the system
-enabled their locks (which the asyncio runtime does at construction).
+Threading model: the runtime's own event loop serves the front door
+(:class:`~repro.obs.dashboard.HttpServer`, which frames HTTP, answers
+hostile input and notices hang-ups), so a request is parsed, routed
+and submitted
+on the thread every protocol action runs on — no handler threads, no
+hand-off.  A write is a coroutine awaiting a loop future that its
+tracker's ``on_done`` resolves; a refused write then awaits one that
+the end of the refusal resolves.  ``/``, ``/data.json`` and
+``/metrics`` read the whole tracer ring or registry, so they are built
+in the loop's default executor: a full ring takes two heartbeat periods
+to render, time in which the supervisor would suspect a live home.
+:meth:`FrontDoor.submit_write` and :meth:`FrontDoor.submit_read` are
+blocking forms of the coroutines for other threads.
 
-Routing: the client names an **object**; the front door resolves the
-owning fragment and the controlling agent's *current* home node via
-the catalog at every attempt.  During a failover window the update
-gate rejects with a transient cause — the front door queues the
-request (bounded) and waits for the event that ends the refusal: the
-token's arrival at the successor the supervisor elected (after its
-epoch cut) or the home's rejoin.  Then it retries with a fresh
-transaction, which commits at the new home.  No timer paces the
-retry, so a write queued across a failover waits for detection
-(two missed heartbeats), one poll round trip and ``takeover_delay``,
-and nothing more.  The client sees one slow 200, never a topology
-detail.
+Routing: the client names an **object**; the catalog names the owning
+fragment and its agent's *current* home at every attempt.  A write the
+update gate refuses with a transient cause (a failover window, a token
+in transit) waits, bounded, for the event that ends the refusal and is
+retried with a fresh transaction at the new home; no timer paces it.
+The client sees one slow 200, never a topology detail.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import math
 import threading
-import time
-from http.server import ThreadingHTTPServer
 from typing import Any
 
 from repro.cc.ops import Read, Write
 from repro.core.system import FragmentedDatabase
-from repro.core.transaction import RequestStatus, RequestTracker
+from repro.core.transaction import RequestTracker
 from repro.errors import DesignError, InitiationError
 from repro.obs.dashboard import (
-    ResponseHandler,
+    HTML,
+    JSON,
+    HttpServer,
     build_dashboard_data,
     render_html,
 )
@@ -54,6 +54,13 @@ from repro.obs.dashboard import (
 DEFAULT_MAX_QUEUED = 64
 
 DEFAULT_DEADLINE = 30.0
+
+#: The counter each answer to an admitted write bumps.
+_WRITE_OUTCOMES = {
+    200: "http.updates_committed",
+    409: "http.updates_rejected",
+    504: "http.updates_timeout",
+}
 
 
 class FrontDoor:
@@ -72,12 +79,13 @@ class FrontDoor:
         self.db = db
         self.host = host
         self.port = port
+        self.max_queued = max_queued
         self.deadline = deadline
         self.sse_poll_interval = sse_poll_interval
         self.sse_max_pings = sse_max_pings
-        self._admission = threading.BoundedSemaphore(max_queued)
-        self._server: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
+        #: Admitted writes not yet answered (loop thread only).
+        self._queued = 0
+        self._http: HttpServer | None = None
         self._m = db.metrics
         self._m.counter("http.requests")
         self._m.counter("http.updates_committed")
@@ -90,34 +98,29 @@ class FrontDoor:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> "FrontDoor":
-        """Bind and serve on a background daemon thread."""
-        if self._server is not None:
-            return self
-        door = self
-
-        class Handler(_FrontDoorHandler):
-            frontdoor = door
-
-        self._server = ThreadingHTTPServer((self.host, self.port), Handler)
-        self.port = self._server.server_address[1]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-frontdoor",
-            daemon=True,
-        )
-        self._thread.start()
+        """Serve on the runtime's loop (start the runtime first)."""
+        if self._http is None:
+            self._http = HttpServer(
+                self._answer,
+                lambda: self.db.tracer.emitted,
+                self.sse_poll_interval,
+                self.sse_max_pings,
+            )
+            self.port = self.db.sim.run_coroutine(
+                self._http.start(self.host, self.port)
+            )
         return self
 
     def stop(self) -> None:
-        """Shut the server down and join its thread; idempotent."""
-        if self._server is None:
+        """Close the listener and every connection.  Idempotent, and
+        safe after the runtime stopped."""
+        http, self._http = self._http, None
+        if http is None:
             return
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._server = None
-        self._thread = None
+        if self.db.sim.running:
+            self.db.sim.run_coroutine(http.close())
+        else:
+            http.server.close()  # the loop is gone: only its socket is left
 
     @property
     def url(self) -> str:
@@ -132,14 +135,11 @@ class FrontDoor:
     # -- write path ------------------------------------------------------
 
     def submit_write(self, payload: dict[str, Any]) -> tuple[int, dict]:
-        """Route one client write; returns ``(http_status, body)``.
+        """:meth:`write`, blocking, from a thread other than the loop's."""
+        return self.db.sim.run_coroutine(self.write(payload), timeout=None)
 
-        The loop below *is* the queue-and-retry protocol: resolve the
-        route fresh each attempt (the agent may have moved), submit a
-        fresh transaction, block on its terminal event, and after a
-        transient rejection block on the wake of the event that ends
-        it, then retry — until the deadline.
-        """
+    async def write(self, payload: dict[str, Any]) -> tuple[int, dict]:
+        """Route one client write; returns ``(http_status, body)``."""
         obj = payload.get("object")
         if not isinstance(obj, str):
             return 400, {"error": "missing or non-string 'object'"}
@@ -153,88 +153,78 @@ class FrontDoor:
         fragment = self.db.catalog.fragment_of(obj, strict=False)
         if fragment is None:
             return 404, {"error": f"no fragment owns object {obj!r}"}
-
-        if not self._admission.acquire(blocking=False):
+        if self._queued >= self.max_queued:
             self._m.inc("http.updates_overload")
             return 503, {"error": "write queue full, retry later"}
+        self._queued += 1
         try:
-            return self._submit_write_admitted(
+            code, body = await self._write_admitted(
                 payload, obj, fragment, timeout
             )
         finally:
-            self._admission.release()
+            self._queued -= 1
+        self._m.inc(_WRITE_OUTCOMES[code])
+        return code, body
 
-    def _submit_write_admitted(
+    async def _write_admitted(
         self, payload: dict[str, Any], obj: str, fragment: str, timeout: float
     ) -> tuple[int, dict]:
-        deadline = time.monotonic() + timeout
+        """The queue-and-retry protocol: resolve the route fresh each
+        attempt (the agent may have moved), submit a fresh transaction,
+        await its terminal event, and after a transient rejection await
+        the event that ends it, then retry — until the deadline."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
         attempts = 0
-        tracker: RequestTracker | None = None
         while True:
             attempts += 1
-            done = threading.Event()
-            wake = threading.Event()
+            done, wake = loop.create_future(), loop.create_future()
 
             def on_done(t: RequestTracker) -> None:
                 if t.cause is not None:
-                    self.db.on_refusal_end(fragment, wake.set)
-                done.set()
+                    self.db.on_refusal_end(fragment, lambda: _resolve(wake))
+                _resolve(done)
 
             try:
-                tracker = self.db.call_on_runtime(
-                    lambda: self.db.submit_update(
-                        self.db.agent_of(fragment).name,
-                        _write_body(payload, obj),
-                        writes=[obj],
-                        meta={"via": "http"},
-                        on_done=on_done,
-                    )
+                tracker = self.db.submit_update(
+                    self.db.agent_of(fragment).name,
+                    _write_body(payload, obj),
+                    writes=[obj],
+                    meta={"via": "http"},
+                    on_done=on_done,
                 )
             except InitiationError as exc:
-                self._m.inc("http.updates_rejected")
                 return 409, {"error": str(exc), "attempts": attempts}
-            if not done.wait(timeout=max(0.0, deadline - time.monotonic())):
-                self._m.inc("http.updates_timeout")
-                return 504, {
-                    "txn": tracker.spec.txn_id,
-                    "status": tracker.status.value,
-                    "attempts": attempts,
-                    "error": "deadline passed while request pending",
-                }
+            settled = await _before(done, deadline)
+            out = {
+                "txn": tracker.spec.txn_id,
+                "status": tracker.status.value,
+                "attempts": attempts,
+            }
+            if not settled:
+                error = "deadline passed while request pending"
+                return 504, {**out, "error": error}
             if tracker.succeeded:
-                self._m.inc("http.updates_committed")
+                home = self.db.agent_of(fragment).home_node
                 return 200, {
-                    "txn": tracker.spec.txn_id,
-                    "status": tracker.status.value,
-                    "object": obj,
-                    "fragment": fragment,
-                    "node": self.db.agent_of(fragment).home_node,
-                    "attempts": attempts,
+                    **out, "object": obj, "fragment": fragment, "node": home
                 }
             # Every RefusalCause heals on its own (failover completes,
             # the control token lands), so the request waits for that
             # and is retried.
-            transient = tracker.cause is not None
-            if not transient or not wake.wait(
-                timeout=max(0.0, deadline - time.monotonic())
-            ):
-                code = 409 if not transient else 504
-                self._m.inc(
-                    "http.updates_rejected"
-                    if code == 409
-                    else "http.updates_timeout"
-                )
-                return code, {
-                    "txn": tracker.spec.txn_id,
-                    "status": tracker.status.value,
-                    "reason": tracker.reason,
-                    "attempts": attempts,
-                }
+            if tracker.cause is None:
+                return 409, {**out, "reason": tracker.reason}
+            if not await _before(wake, deadline):
+                return 504, {**out, "reason": tracker.reason}
             self._m.inc("http.updates_retried")
 
     # -- read path -------------------------------------------------------
 
     def submit_read(self, payload: dict[str, Any]) -> tuple[int, dict]:
+        """:meth:`read`, blocking, from a thread other than the loop's."""
+        return self.db.sim.run_coroutine(self.read(payload), timeout=None)
+
+    async def read(self, payload: dict[str, Any]) -> tuple[int, dict]:
         """Read one object, locally or via a quorum vote.
 
         With ``at`` naming a node that does not replicate the owning
@@ -251,46 +241,93 @@ class FrontDoor:
         at = payload.get("at")
         if at is not None and at not in self.db.nodes:
             return 404, {"error": f"unknown node {at!r}"}
-
-        done = threading.Event()
-        out: dict[str, Any] = {}
+        loop = asyncio.get_running_loop()
+        done = loop.create_future()
+        value: list[Any] = [None]
 
         def body(_ctx):
-            out["value"] = yield Read(obj)
+            value[0] = yield Read(obj)
 
         try:
-            tracker = self.db.call_on_runtime(
-                lambda: self.db.submit_readonly(
-                    self.db.agent_of(fragment).name,
-                    body,
-                    at=at,
-                    reads=[obj],
-                    on_done=lambda _t: done.set(),
-                )
+            tracker = self.db.submit_readonly(
+                self.db.agent_of(fragment).name,
+                body,
+                at=at,
+                reads=[obj],
+                on_done=lambda _t: _resolve(done),
             )
         except (InitiationError, DesignError) as exc:
             return 409, {"error": str(exc)}
-        if not done.wait(timeout=self.deadline):
-            return 504, {
-                "txn": tracker.spec.txn_id,
-                "status": tracker.status.value,
-                "error": "deadline passed while read pending",
-            }
+        settled = await _before(done, loop.time() + self.deadline)
+        out = {"txn": tracker.spec.txn_id, "status": tracker.status.value}
+        if not settled:
+            return 504, {**out, "error": "deadline passed while read pending"}
         if not tracker.succeeded:
-            return 409, {
-                "txn": tracker.spec.txn_id,
-                "status": tracker.status.value,
-                "reason": tracker.reason,
-            }
+            return 409, {**out, "reason": tracker.reason}
         self._m.inc("http.reads_served")
         return 200, {
-            "txn": tracker.spec.txn_id,
-            "status": tracker.status.value,
+            **out,
             "object": obj,
             "fragment": fragment,
             "node": tracker.node,
-            "value": out.get("value"),
+            "value": value[0],
         }
+
+    # -- routing ---------------------------------------------------------
+
+    async def _answer(
+        self, method: str, path: str, body: bytes
+    ) -> tuple[int, bytes, str]:
+        """One request's answer: ``(status, body bytes, content type)``."""
+        self._m.inc("http.requests")
+        try:
+            return await self._respond(method, path, body)
+        except Exception as exc:  # noqa: BLE001 - answered, then surfaced
+            # A fault of the program, not of the request: the client
+            # gets a 500 and db.sim.check() raises the exception.
+            self.db.sim.errors.append((f"http {method} {path}", exc))
+            return 500, _encode({"error": repr(exc)}), JSON
+
+    async def _respond(
+        self, method: str, path: str, body: bytes
+    ) -> tuple[int, bytes, str]:
+        if method == "POST":
+            payload = _json_object(body)
+            if payload is None:
+                code, out = 400, {"error": "body must be a JSON object"}
+            elif path == "/updates":
+                code, out = await self.write(payload)
+            elif path == "/reads":
+                code, out = await self.read(payload)
+            else:
+                code, out = 404, {"error": f"no such endpoint {path!r}"}
+        elif method != "GET":
+            code, out = 501, {"error": f"unsupported method {method!r}"}
+        elif path in ("/", "/data.json", "/metrics"):
+            return await asyncio.get_running_loop().run_in_executor(
+                None, self._render, path
+            )
+        elif path == "/healthz":
+            code, out = 200, {"ok": True, "nodes": len(self.db.nodes)}
+        elif path == "/fragments":
+            code, out = 200, self.fragments_payload()
+        elif path == "/updates":
+            code, out = 200, self.updates_payload()
+        else:
+            code, out = 404, {"error": f"no such endpoint {path!r}"}
+        return code, _encode(out), JSON
+
+    def _render(self, path: str) -> tuple[int, bytes, str]:
+        """A page that reads the whole ring or registry (executor)."""
+        if path == "/metrics":
+            return 200, _encode(self.db.metrics.snapshot()), JSON
+        data = build_dashboard_data(
+            [e.as_dict() for e in self.db.tracer.events()]
+        )
+        if path == "/":
+            page = render_html(data, title="repro serve", live=True)
+            return 200, page.encode(), HTML
+        return 200, _encode(data), JSON
 
     # -- introspection ---------------------------------------------------
 
@@ -333,14 +370,34 @@ class FrontDoor:
             ],
         }
 
-    def dashboard_data(self) -> dict[str, Any]:
-        events = [e.as_dict() for e in self.db.tracer.events()]
-        return build_dashboard_data(events)
 
-    def dashboard_html(self) -> str:
-        return render_html(
-            self.dashboard_data(), title="repro serve", live=True
-        )
+def _resolve(future: asyncio.Future, value: bool = True) -> None:
+    """Settle ``future`` unless its waiter already gave up on it."""
+    if not future.done():
+        future.set_result(value)
+
+
+async def _before(future: asyncio.Future, deadline: float) -> bool:
+    """Await ``future``; False if the loop clock passes ``deadline`` first."""
+    if future.done():
+        return future.result()
+    timer = future.get_loop().call_at(deadline, _resolve, future, False)
+    try:
+        return await future
+    finally:
+        timer.cancel()
+
+
+def _encode(payload: Any) -> bytes:
+    return json.dumps(payload, default=str).encode()
+
+
+def _json_object(body: bytes) -> dict[str, Any] | None:
+    try:
+        payload = json.loads(body or b"{}")
+    except ValueError:  # JSONDecodeError, and bytes that are not UTF-8
+        return None
+    return payload if isinstance(payload, dict) else None
 
 
 def _finite_number(value: Any) -> bool:
@@ -374,65 +431,6 @@ def _write_body(payload: dict[str, Any], obj: str):
             yield Write(obj, (current or 0) + delta)
 
     return body
-
-
-class _FrontDoorHandler(ResponseHandler):
-    """Request plumbing; all logic lives on :class:`FrontDoor`."""
-
-    frontdoor: FrontDoor  # set by the subclass FrontDoor.start() builds
-    protocol_version = "HTTP/1.1"
-
-    def _read_payload(self) -> dict[str, Any] | None:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, json.JSONDecodeError):
-            return None
-        return payload if isinstance(payload, dict) else None
-
-    # -- verbs -----------------------------------------------------------
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server convention)
-        door = self.frontdoor
-        door._m.inc("http.requests")
-        payload = self._read_payload()
-        if payload is None:
-            self.send_json(400, {"error": "body must be a JSON object"})
-            return
-        if self.path == "/updates":
-            code, body = door.submit_write(payload)
-        elif self.path == "/reads":
-            code, body = door.submit_read(payload)
-        else:
-            code, body = 404, {"error": f"no such endpoint {self.path!r}"}
-        self.send_json(code, body)
-
-    def do_GET(self) -> None:  # noqa: N802
-        door = self.frontdoor
-        door._m.inc("http.requests")
-        if self.path == "/healthz":
-            self.send_json(200, {"ok": True, "nodes": len(door.db.nodes)})
-        elif self.path == "/metrics":
-            self.send_json(200, door.db.metrics.snapshot())
-        elif self.path == "/fragments":
-            self.send_json(200, door.fragments_payload())
-        elif self.path == "/updates":
-            self.send_json(200, door.updates_payload())
-        elif self.path == "/data.json":
-            self.send_json(200, door.dashboard_data())
-        elif self.path == "/":
-            self.send_html(door.dashboard_html())
-        elif self.path == "/events":
-            # The file-watching dashboard's contract, but watching the
-            # live tracer's ``emitted`` counter instead of a file size,
-            # so the served page reloads as the system runs.
-            self.stream_events(
-                lambda: door.db.tracer.emitted,
-                door.sse_poll_interval,
-                door.sse_max_pings,
-            )
-        else:
-            self.send_json(404, {"error": f"no such endpoint {self.path!r}"})
 
 
 def serve_frontdoor(

@@ -159,6 +159,35 @@ class TestFailover:
         assert report.ok, report.violations
         assert report.epoch_cuts == 1
 
+    def test_a_live_suspected_home_loses_no_committed_write(self):
+        """A home that is up but cut off is suspected and failed over;
+        the token waits at the successor until the write the home
+        committed before the cut arrives, so the cut discards nothing."""
+        db = make_db(availability=AvailabilityConfig(**FAST))
+        db.availability.start(until=400.0)
+        db.run(until=10.0)
+        db.partitions.partition_now([["A"], ["B", "C", "D", "E"]])
+        kept = db.submit_update("ag", write_body("x", 666), writes=["x"])
+        while not trace_of(db, "avail.failover.begin"):
+            db.run(until=db.sim.now + 1)
+        # Past the poll round trip and the takeover delay: without the
+        # wait the cut would be made now, one write short.
+        db.run(until=db.sim.now + 2 + FAST["takeover_delay"] + 2)
+        assert kept.status is RequestStatus.COMMITTED
+        assert trace_of(db, "avail.failover.done") == []
+        db.partitions.heal_now()
+        db.run(until=db.sim.now + 20)
+        assert db.metrics.value("avail.failovers") == 1
+        assert db.metrics.value("avail.updates_discarded") == 0
+        assert db.recorder.orphaned == {}
+        new_home = db.agents["ag"].home_node
+        assert new_home in {"B", "C"}
+        assert db.nodes[new_home].store.read("x") == 666
+        db.quiesce()
+        assert db.mutual_consistency().consistent
+        report = audit_events(event.as_dict() for event in db.tracer)
+        assert report.ok, report.violations
+
     def test_k2_fragment_never_fails_over(self):
         """With k=2 the surviving replica cannot prove a majority; the
         failover aborts and the probe interval backs off."""

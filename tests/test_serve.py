@@ -4,6 +4,7 @@ Each test boots a real asyncio-backed database with a FrontDoor and
 speaks actual HTTP to it — the same path `repro serve` exposes.
 """
 
+import asyncio
 import http.client
 import json
 import socket
@@ -25,15 +26,15 @@ from repro.core.transaction import (
     TransactionSpec,
 )
 from repro.serve import FrontDoor
-from repro.serve.app import _FrontDoorHandler
+from repro.obs.dashboard import MAX_BODY_BYTES, MAX_HEAD_BYTES
 
 
-def build_db(availability=True, nodes=5, movement=None):
+def build_db(availability=True, nodes=5, movement=None, tick=0.005):
     names = [chr(ord("A") + i) for i in range(nodes)]
     db = FragmentedDatabase(
         names,
         runtime="asyncio",
-        tick=0.005,
+        tick=tick,
         replication_factor=3,
         availability=AvailabilityConfig() if availability else None,
         movement=movement,
@@ -116,6 +117,7 @@ def test_client_errors(served):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(door.url + "/nope", timeout=10)
     assert excinfo.value.code == 404
+    excinfo.value.close()
 
 
 def assert_x_not_wedged(db, door):
@@ -361,29 +363,19 @@ def test_keep_alive_writes_are_not_paced_by_delayed_ack(served):
 
 def test_each_reply_is_one_send_on_a_nodelay_socket(served, monkeypatch):
     db, door = served
-    nodelay, sends = [], []
+    nodelay, sends = {}, []
+    transport_type = asyncio.selector_events._SelectorSocketTransport
+    write = transport_type.write
 
-    class CountingWriter:
-        def __init__(self, wfile):
-            self._wfile = wfile
-
-        def write(self, data):
+    def counting_write(transport, data):
+        if transport.get_extra_info("sockname")[1] == door.port:
             sends.append(len(data))
-            return self._wfile.write(data)
+            nodelay[id(transport)] = transport.get_extra_info(
+                "socket"
+            ).getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        return write(transport, data)
 
-        def __getattr__(self, name):
-            return getattr(self._wfile, name)
-
-    setup = _FrontDoorHandler.setup
-
-    def counting_setup(self):
-        setup(self)
-        nodelay.append(
-            self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-        )
-        self.wfile = CountingWriter(self.wfile)
-
-    monkeypatch.setattr(_FrontDoorHandler, "setup", counting_setup)
+    monkeypatch.setattr(transport_type, "write", counting_write)
     conn = http.client.HTTPConnection("127.0.0.1", door.port, timeout=10)
     try:
         for method, path, body, status in (
@@ -401,7 +393,7 @@ def test_each_reply_is_one_send_on_a_nodelay_socket(served, monkeypatch):
             assert sends[-1] > len(payload)  # headers rode along
     finally:
         conn.close()
-    assert nodelay == [1]
+    assert list(nodelay.values()) == [1]
 
 
 def test_overload_returns_503():
@@ -411,16 +403,231 @@ def test_overload_returns_503():
     try:
         # Saturate the single admission slot from inside, then observe
         # the next HTTP write bounce with 503.
-        assert door._admission.acquire(blocking=False)
+        db.call_on_runtime(lambda: setattr(door, "_queued", 1))
         code, body = post(door.url, "/updates", {"object": "x", "value": 1})
         assert code == 503
         assert db.metrics.value("http.updates_overload") == 1
-        door._admission.release()
+        db.call_on_runtime(lambda: setattr(door, "_queued", 0))
         code, _ = post(door.url, "/updates", {"object": "x", "value": 1})
         assert code == 200
     finally:
         door.stop()
         db.stop_runtime()
+    db.sim.check()
+
+
+# ---------------------------------------------------------------------------
+# Hostile and edge-case HTTP: a loud answer, never a hang
+
+
+def exchange(door, *chunks, pause=0.0):
+    """Send ``chunks`` on one raw connection and read until the server
+    closes it (a timeout fails the test); returns ``(status, headers,
+    body)`` per reply, in the order they came."""
+    with socket.create_connection(("127.0.0.1", door.port), 10) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for chunk in chunks:
+            sock.sendall(chunk)
+            time.sleep(pause)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    replies = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        lines = head.decode().split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        length = int(headers["Content-Length"])
+        body = json.loads(rest[:length])
+        replies.append((int(lines[0].split()[1]), headers, body))
+        data = rest[length:]
+    return replies
+
+
+def request(method, path, payload=None, extra=""):
+    body = b"" if payload is None else json.dumps(payload).encode()
+    head = f"{method} {path} HTTP/1.1\r\nContent-Length: {len(body)}\r\n"
+    return (head + extra + "\r\n").encode() + body
+
+
+def test_pipelined_requests_are_answered_in_order(served):
+    db, door = served
+    replies = exchange(
+        door,
+        request("POST", "/updates", {"object": "x", "value": 41})
+        + request("POST", "/reads", {"object": "x"}, "Connection: close\r\n"),
+    )
+    assert [code for code, _, _ in replies] == [200, 200], replies
+    assert replies[0][2]["status"] == "committed"
+    assert replies[1][2]["value"] == 41  # answered after the write
+    assert replies[1][1]["Connection"] == "close"
+
+
+def test_a_request_sent_one_byte_at_a_time_is_answered(served):
+    db, door = served
+    data = request(
+        "POST", "/updates", {"object": "y", "delta": 2}, "Connection: close\r\n"
+    )
+    replies = exchange(
+        door, *(data[i:i + 1] for i in range(len(data))), pause=0.001
+    )
+    assert [(code, body["status"]) for code, _, body in replies] == [
+        (200, "committed")
+    ]
+
+
+@pytest.mark.parametrize(
+    "data, code",
+    [
+        (b"POST /updates HTTP/1.1\r\nContent-Length: 9999999\r\n\r\n", 413),
+        (b"POST /updates HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400),
+        (b"POST /updates HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+        (b"GET / HTTP/1.1\r\nX-Pad: " + b"a" * MAX_HEAD_BYTES, 431),
+        (b"GET /healthz\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+    ],
+)
+def test_unframeable_input_is_refused_and_the_connection_closed(
+    served, data, code
+):
+    db, door = served
+    replies = exchange(door, data)  # returns only once the server closed
+    assert [reply[0] for reply in replies] == [code], replies
+    assert replies[0][1]["Connection"] == "close"
+    assert "error" in replies[0][2]
+    assert_x_not_wedged(db, door)
+
+
+def test_a_body_streamed_after_its_413_does_not_reset_the_reply(served):
+    """The server answers 413 on the head alone; the client streams the
+    body on.  Closing with those bytes unread would answer them with a
+    reset that can destroy the 413 before the client reads it."""
+    db, door = served
+    body = b"x" * (2 * MAX_BODY_BYTES)
+    head = b"POST /updates HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+    replies = exchange(door, head, *(body[i:i + 65536] for i in range(0, len(body), 65536)))
+    assert [reply[0] for reply in replies] == [413], replies
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+    ],
+)
+def test_close_and_http10_requests_close_after_the_reply(served, data):
+    db, door = served
+    replies = exchange(door, data)  # returns only once the server closed
+    assert [(code, body["ok"]) for code, _, body in replies] == [(200, True)]
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["close", "half-close"])
+def test_a_client_hanging_up_frees_its_queued_write(half):
+    """Nothing will end this refusal (the supervisor never starts): the
+    write waits behind it until the client hangs up, and then gives its
+    admission slot back at once, not at its 30 s deadline.  A half-close
+    counts as a hang-up: the server closes without a reply."""
+    db = build_db()
+    db.start_runtime()
+    door = FrontDoor(db).start()
+    try:
+        db.call_on_runtime(lambda: db.hard_kill_node("A"))
+        with socket.create_connection(("127.0.0.1", door.port), 10) as sock:
+            sock.sendall(request("POST", "/updates", {"object": "x", "delta": 1}))
+            assert db.wait_until(lambda: door._queued == 1, timeout=10.0)
+            if half:
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.recv(1024) == b""
+        assert db.wait_until(lambda: door._queued == 0, timeout=5.0)
+        assert db.metrics.value("txn.rejected") == 1
+        assert db.metrics.value("http.updates_timeout") == 0
+    finally:
+        door.stop()
+        db.stop_runtime()
+    db.sim.check()
+
+
+def test_dashboard_pages_do_not_stall_the_loop():
+    """A full ring takes ~100 ms to render: two heartbeat periods at the
+    benchmark's tick (0.01 s, the one this test runs at).  Five renders
+    back to back during a write stream must not look like a dead home
+    to the supervisor.  The executor thread still takes the interpreter
+    lock in 5 ms slices, so at half this tick under ``-X dev`` a pong
+    can still miss its deadline."""
+    from repro.obs.trace import LIVE_RING_SIZE
+
+    db = build_db(tick=0.01)
+    db.start_runtime()
+    door = FrontDoor(db).start()
+    try:
+        for i in range(LIVE_RING_SIZE // 2):
+            db.tracer.emit("span.begin", txn=f"S{i}", agent="ag0", node="A")
+            db.tracer.emit("span.end", txn=f"S{i}", status="committed")
+        assert len(db.tracer) == LIVE_RING_SIZE
+        db.call_on_runtime(lambda: db.availability.start(until=1e9))
+        stop, codes = threading.Event(), []
+
+        def write_stream():
+            conn = http.client.HTTPConnection("127.0.0.1", door.port, timeout=10)
+            body = json.dumps({"object": "x", "delta": 1})
+            while not stop.is_set():
+                conn.request("POST", "/updates", body)
+                response = conn.getresponse()
+                response.read()
+                codes.append(response.status)
+            conn.close()
+
+        writer = threading.Thread(target=write_stream)
+        writer.start()
+        try:
+            time.sleep(0.2)
+            for _ in range(5):
+                with urllib.request.urlopen(door.url + "/", timeout=10) as page:
+                    assert page.status == 200 and b"repro serve" in page.read()
+            time.sleep(0.2)
+        finally:
+            stop.set()
+            writer.join(timeout=10.0)
+        assert not writer.is_alive()
+        assert codes and set(codes) == {200}, codes
+        assert db.metrics.value("avail.failovers") == 0
+    finally:
+        door.stop()
+        db.stop_runtime()
+    db.sim.check()
+
+
+def test_stop_leaves_no_task_or_transport_behind():
+    db = build_db(availability=False)
+    db.start_runtime()
+    door = FrontDoor(db, sse_poll_interval=0.05).start()
+    idle = http.client.HTTPConnection("127.0.0.1", door.port, timeout=10)
+    stream = urllib.request.urlopen(door.url + "/events", timeout=10)
+    try:
+        idle.request("GET", "/healthz")
+        assert idle.getresponse().read()
+        server = door._http
+        assert db.call_on_runtime(lambda: len(server.connections)) == 2
+        door.stop()
+
+        def front_door_tasks():
+            return [
+                t for t in asyncio.all_tasks()
+                if "HttpServer" in t.get_coro().__qualname__
+            ]
+
+        assert db.call_on_runtime(front_door_tasks) == []
+        assert server.connections == set()
+        assert stream.read() == b""  # the server closed the stream
+        door.stop()  # twice
+        late = FrontDoor(db).start()
+        db.stop_runtime()
+        late.stop()  # after the runtime
+        late.stop()
+    finally:
+        idle.close()
+        stream.close()
     db.sim.check()
 
 
