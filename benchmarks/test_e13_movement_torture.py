@@ -1,8 +1,9 @@
 """E13 — the Section 4.4 guarantee matrix under randomized stress.
 
 E7 replays one scripted hazard; this sweep drives every movement
-protocol through 60 randomized runs (random traffic, 3 agent hops,
-random partitions) and counts how often each property broke.  The
+protocol through 60 randomized nemesis runs (random traffic, 3 agent
+hops, one random partition, no message faults) and counts how often
+each property broke.  The
 paper's protocol table must emerge from the aggregate:
 
 * the three consistency-preserving protocols (majority, with-data,
@@ -16,15 +17,18 @@ of the submitted updates (minority-side rejections + resync queuing)
 than the token-carrying protocols.
 """
 
+from dataclasses import replace
+
 from conftest import run_once
 
+from repro.analysis.nemesis import MOVEMENT_TORTURE, PROTOCOLS, run_nemesis
 from repro.analysis.report import format_table, pipeline_latency_rows
-from repro.analysis.torture import PROTOCOLS, run_movement_torture
 from repro.replication import PipelineConfig
 
 RUNS = 60
 BATCHED_RUNS = 20
 BATCHED = PipelineConfig(batch_size=4, batch_window=3.0)
+BATCHED_TORTURE = replace(MOVEMENT_TORTURE, pipeline=BATCHED)
 
 
 def sweep():
@@ -35,7 +39,7 @@ def sweep():
         committed = 0
         submitted = 0
         for seed in range(RUNS):
-            result = run_movement_torture(seed, protocol)
+            result = run_nemesis(seed, protocol, MOVEMENT_TORTURE)
             mc_breaks += not result.mutually_consistent
             fw_breaks += not result.fragmentwise
             committed += result.committed
@@ -63,8 +67,8 @@ def test_e13_movement_torture(benchmark, report):
             [[row[h] for h in headers] for row in rows],
             title=(
                 f"E13 / Section 4.4 — movement protocols under randomized "
-                f"stress ({RUNS} runs each: 15 updates, 3 moves, random "
-                f"partitions)"
+                f"stress ({RUNS} runs each: 15 updates, 3 moves, one random "
+                f"partition)"
             ),
         )
     )
@@ -95,8 +99,8 @@ def test_e13b_torture_with_batching(benchmark, report):
             mc_breaks = 0
             for seed in range(BATCHED_RUNS):
                 dbs = []
-                result = run_movement_torture(
-                    seed, protocol, pipeline=BATCHED, db_sink=dbs
+                result = run_nemesis(
+                    seed, protocol, BATCHED_TORTURE, db_sink=dbs
                 )
                 mc_breaks += not result.mutually_consistent
                 if seed == 0:

@@ -31,9 +31,8 @@ it.
 
 from conftest import committed_record, run_once
 
-from repro.analysis.nemesis import NemesisConfig, run_nemesis
+from repro.analysis.nemesis import PROTOCOLS, NemesisConfig, run_nemesis
 from repro.analysis.report import format_table
-from repro.analysis.torture import PROTOCOLS
 
 SEEDS = range(6)
 LOSS_RATES = (0.05, 0.1, 0.2)

@@ -19,5 +19,5 @@ def test_gated_experiment(key, benchmark, report):
     experiment = EXPERIMENTS[key]
     result = run_once(benchmark, experiment.run)
     report(experiment.table(result))
-    problems = experiment.gates(result, committed_record(experiment.record))
+    problems = experiment.judge(result, committed_record(experiment.record))
     assert not problems, "\n".join(problems)

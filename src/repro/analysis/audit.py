@@ -57,7 +57,7 @@ and the corrective protocol (Section 4.4.3) trades stream order away
 by design — both relax the FIFO and agreement checks (see
 :data:`RELAXED_CHECKS`), so the audit documents what each protocol
 actually promises rather than failing by design, mirroring the
-guarantee matrix in :mod:`repro.analysis.torture`.  The identity
+guarantee matrix in :mod:`repro.analysis.nemesis`.  The identity
 checks — exactly-once, initiation, token uniqueness — hold for every
 protocol.
 
@@ -613,11 +613,13 @@ def infer_protocol(run: str) -> str | None:
     return name if name in RELAXED_CHECKS or name in _KNOWN_PROTOCOLS else None
 
 
-#: Protocol names the guarantee matrix knows (kept in sync with
-#: :data:`repro.analysis.torture.PROTOCOLS` without importing it — the
-#: auditor must stay runnable on a bare trace file).
+#: Protocol names the guarantee matrix knows: the keys of
+#: :data:`repro.analysis.nemesis.GUARANTEES`, copied rather than
+#: imported (the nemesis imports this module) and pinned to them by
+#: ``test_guarantee_table_is_complete``.
 _KNOWN_PROTOCOLS = frozenset(
-    {"none", "majority", "with-data", "with-seqno", "corrective"}
+    {"none", "majority", "with-data", "with-seqno", "corrective",
+     "fixed-agents"}
 )
 
 

@@ -199,7 +199,7 @@ def table(result: dict) -> str:
     ) + f"\ntimeline deterministic across reruns: {deterministic}"
 
 
-def gates(result: dict, committed: dict | None = None) -> list[str]:
+def gates(result: dict) -> list[str]:
     """Verify the E21 claims on a fresh result (see module docstring)."""
     messages: list[str] = []
     on = result["supervised"]
@@ -261,13 +261,4 @@ def gates(result: dict, committed: dict | None = None) -> list[str]:
         messages.append(
             "supervised: the accountant recorded no MTTD/MTTR incidents"
         )
-
-    if committed is not None:
-        if committed != result:
-            messages.append(
-                "deterministic record diverges from the committed "
-                "BENCH_obs.json (regenerate with `python -m repro "
-                "experiment E21 --json BENCH_obs.json` if the change is "
-                "intentional)"
-            )
     return messages

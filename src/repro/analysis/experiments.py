@@ -2,11 +2,13 @@
 
 Each entry names a committed record at the repo root and the three
 functions its module provides — ``run() -> dict`` at full size,
-``table(result) -> str`` and ``gates(result, committed | None) ->
-list[str]`` (empty means every gate passed).  ``repro experiment``,
-``benchmarks/test_experiments.py`` and the tier-1 record-reproduction
-test all walk this one registry, so a result is produced, printed,
-written and gated in exactly one way.
+``table(result) -> str`` and ``gates(result) -> list[str]`` (its
+claims; empty means every one held).  :meth:`Experiment.judge` adds the
+one comparison with the committed record: every experiment is a
+deterministic function of its seed, so the record must match exactly.
+``repro experiment``, ``benchmarks/test_experiments.py`` and the tier-1
+record-reproduction test all walk this one registry, so a result is
+produced, printed, written and gated in exactly one way.
 """
 
 from __future__ import annotations
@@ -33,7 +35,25 @@ class Experiment:
     record: str  # committed record file, relative to the repo root
     run: Callable[[], dict]
     table: Callable[[dict], str]
-    gates: Callable[[dict, dict | None], list[str]]
+    gates: Callable[[dict], list[str]]
+    #: The part of a record that must equal the committed one: all of
+    #: it, unless the experiment also times the wall clock.
+    deterministic: Callable[[dict], object] = lambda record: record
+
+    def judge(self, result: dict, committed: dict | None) -> list[str]:
+        """Every failed gate of ``result``, exactness against
+        ``committed`` (when given) included."""
+        problems = self.gates(result)
+        if committed is not None and (
+            self.deterministic(result) != self.deterministic(committed)
+        ):
+            problems.append(
+                f"deterministic record diverges from the committed "
+                f"{self.record} (regenerate with `python -m repro "
+                f"experiment {self.key} --json {self.record}` if the "
+                f"change is intentional)"
+            )
+        return problems
 
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -41,7 +61,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     for exp in (
         Experiment(
             "E18", "BENCH_scale.json", scale_bench.run_scale_bench,
-            scale_bench.table, scale_bench.gates,
+            scale_bench.table, scale_bench.gates, scale_bench.schedule,
         ),
         Experiment(
             "E19", "BENCH_partial.json", partial_bench.run_partial_bench,
@@ -95,7 +115,7 @@ def run_experiment(
             return 1
     result = experiment.run()
     print(experiment.table(result))
-    problems = experiment.gates(result, committed)
+    problems = experiment.judge(result, committed)
     for problem in problems:
         print("GATE FAILED: " + problem, file=sys.stderr)
     if not problems:

@@ -273,10 +273,11 @@ def table(result: dict) -> str:
     )
 
 
-def gates(result: dict, committed: dict | None = None) -> list[str]:
+def gates(result: dict) -> list[str]:
     """Verify the E20 claims on a fresh result.
 
-    Intrinsic gates (no committed record needed):
+    The claims (the registry compares the whole record with the
+    committed one):
 
     * with the supervisor on, no logical update is permanently blocked
       (every one commits, via resubmission where needed), failovers
@@ -287,9 +288,6 @@ def gates(result: dict, committed: dict | None = None) -> list[str]:
       the run length (the MTTR claim);
     * without the supervisor, at least one update stays blocked — the
       contrast that makes the first claim non-vacuous.
-
-    Against a committed record: the whole record must match exactly
-    (the run is deterministic), state hashes named separately.
     """
     messages: list[str] = []
     on = result["supervised"]
@@ -324,18 +322,4 @@ def gates(result: dict, committed: dict | None = None) -> list[str]:
             "unsupervised: every update still committed — the kill "
             "schedule no longer creates an outage"
         )
-    if committed is not None:
-        for tag in ("supervised", "unsupervised"):
-            if result[tag]["state_hash"] != committed[tag]["state_hash"]:
-                messages.append(
-                    f"{tag}: state hash diverged from the committed "
-                    "BENCH_availability.json"
-                )
-        if committed != result:
-            messages.append(
-                "deterministic record diverges from the committed "
-                "BENCH_availability.json (regenerate with `python -m "
-                "repro experiment E20 --json BENCH_availability.json` "
-                "if the change is intentional)"
-            )
     return messages

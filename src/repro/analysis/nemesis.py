@@ -1,13 +1,28 @@
 """The chaos harness ("nemesis"): composed fault schedules from one seed.
 
-Generalizes :mod:`repro.analysis.torture` — where the torture harness
-scripts its own partitions inline, the nemesis draws a complete
+The one chaos driver of the repository, on either backend.  From a
+*single* integer seed it draws a complete
 :class:`~repro.net.faults.FaultPlan` (steady message loss, duplication,
 latency jitter, loss bursts, link flaps, node crashes, partitions) and
-a randomized workload (update traffic + agent moves) from a *single*
-integer seed, runs them against any movement protocol and pipeline
-configuration, then checks the Section 4.4 guarantee table after
-quiescence.
+a randomized workload (update traffic, agent moves, agent-home kills,
+quorum reads) against one single-fragment system, runs them under any
+protocol of :data:`GUARANTEES`, then checks the Section 4.4 guarantee
+table after quiescence:
+
+============  ===================  ==============================
+protocol      mutual consistency   fragmentwise serializability
+============  ===================  ==============================
+with-data     must hold            must hold
+with-seqno    must hold            must hold
+majority      must hold            must hold
+corrective    must hold            may fail (knowingly sacrificed)
+none          may fail             may fail
+fixed-agents  must hold            must hold
+============  ===================  ==============================
+
+``backend="asyncio"`` runs the same draws on real TCP sockets: the
+same plan drops and duplicates frames, and an agent-home kill is a
+socket-level kill (:meth:`FragmentedDatabase.hard_kill_node`).
 
 Two deliberate stream splits make the harness useful as an experiment:
 
@@ -32,10 +47,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.audit import audit_events
-from repro.analysis.torture import GUARANTEES, PROTOCOLS, _try_move
 from repro.obs.availability import account_events
 from repro.availability import AvailabilityConfig
 from repro.cc.ops import Read, Write
+from repro.core.movement.base import FixedAgentsProtocol, MovementProtocol
+from repro.core.movement.corrective import CorrectiveMoveProtocol
+from repro.core.movement.majority import MajorityCommitProtocol
+from repro.core.movement.none_protocol import InstantMoveProtocol
+from repro.core.movement.with_data import MoveWithDataProtocol
+from repro.core.movement.with_seqno import MoveWithSeqnoProtocol
 from repro.core.system import FragmentedDatabase
 from repro.core.transaction import RequestStatus, scripted_body
 from repro.net.faults import CrashEpisode, FaultPlan, LinkFlap, LossBurst
@@ -44,6 +64,39 @@ from repro.net.reliable import ReliableConfig
 from repro.recovery import RecoveryConfig
 from repro.replication import PipelineConfig
 from repro.sim.rng import SeededRng
+
+#: The five Section 4.4 movement protocols (what E13, E16 and a
+#: ``repro chaos`` sweep without ``--protocol`` iterate).
+PROTOCOLS: dict[str, type[MovementProtocol]] = {
+    "none": InstantMoveProtocol,
+    "majority": MajorityCommitProtocol,
+    "with-data": MoveWithDataProtocol,
+    "with-seqno": MoveWithSeqnoProtocol,
+    "corrective": CorrectiveMoveProtocol,
+}
+
+#: Every protocol :func:`run_nemesis` runs by name: the movement
+#: protocols plus the fixed agents ``repro serve`` runs, whose only
+#: moves are the supervisor's failovers.
+RUNNABLE: dict[str, type[MovementProtocol]] = {
+    **PROTOCOLS,
+    "fixed-agents": FixedAgentsProtocol,
+}
+
+# Which guarantee each protocol must uphold in every run (the
+# fixed-agents row is argued in docs/faults.md).
+GUARANTEES = {
+    "none": {"mc": False, "fw": False},
+    "majority": {"mc": True, "fw": True},
+    "with-data": {"mc": True, "fw": True},
+    "with-seqno": {"mc": True, "fw": True},
+    "corrective": {"mc": True, "fw": False},
+    "fixed-agents": {"mc": True, "fw": True},
+}
+
+#: Real seconds per tick of an ``asyncio`` run (the benchmark's tick):
+#: the default 200-tick horizon takes two seconds.
+LIVE_TICK = 0.01
 
 
 @dataclass
@@ -110,6 +163,11 @@ class NemesisConfig:
             or self.n_partitions
             or self.n_agent_kills
         )
+
+
+#: E13's stress: random traffic, three agent moves and one partition
+#: episode on a fault-free network (the Section 4.4 hazards alone).
+MOVEMENT_TORTURE = NemesisConfig(loss_rate=0.0, dup_rate=0.0, jitter=0.0)
 
 
 @dataclass
@@ -231,8 +289,10 @@ def run_nemesis(
     protocol_name: str,
     config: NemesisConfig | None = None,
     trace_path: str | None = None,
+    backend: str = "sim",
+    db_sink: list | None = None,
 ) -> NemesisResult:
-    """One seeded chaos run against one movement protocol.
+    """One seeded chaos run against one protocol of :data:`GUARANTEES`.
 
     ``trace_path`` appends the run's structured trace events (fault
     drops, retransmissions, partitions, …) to that JSONL file with a
@@ -243,6 +303,12 @@ def run_nemesis(
     quiescence the run's events are replayed through the offline
     lineage auditor (:mod:`repro.analysis.audit`), and the verdict
     lands in ``NemesisResult.audit_ok`` / ``respects_guarantees``.
+
+    ``backend="asyncio"`` runs the same draws in real time at
+    :data:`LIVE_TICK` over TCP (the plan's ``jitter`` must be 0 there);
+    a callback that raised on the loop is re-raised after teardown.
+    ``db_sink``, when given, receives the quiesced database so callers
+    can read its metrics (E13b prints the pipeline latency histograms).
     """
     config = config or NemesisConfig()
     root = SeededRng(seed)
@@ -271,7 +337,7 @@ def run_nemesis(
         )
     db = FragmentedDatabase(
         nodes,
-        movement=PROTOCOLS[protocol_name](),
+        movement=RUNNABLE[protocol_name](),
         seed=seed,
         pipeline=config.pipeline,
         faults=None if empty else plan,
@@ -279,6 +345,16 @@ def run_nemesis(
         recovery=recovery,
         replication_factor=config.replication_factor,
         availability=AvailabilityConfig() if config.failover else None,
+        runtime=backend,
+        tick=LIVE_TICK,
+    )
+    live = backend == "asyncio"
+    # A killed home is a killed process on real sockets, and a
+    # crash-stopped node (links held down) in the simulator.
+    kill, revive = (
+        (db.hard_kill_node, db.hard_revive_node)
+        if live
+        else (db.fail_node, db.recover_node)
     )
     db.enable_tracing(
         trace_path,
@@ -290,8 +366,6 @@ def run_nemesis(
     db.add_fragment("F", agent="ag", objects=objects)
     db.load({obj: 0 for obj in objects})
     db.finalize()
-    if config.failover:
-        db.availability.start(until=config.horizon)
 
     def kill_home(down_for: float) -> None:
         # Kill whichever node is the agent's home *when the kill fires*
@@ -299,18 +373,11 @@ def run_nemesis(
         home = db.agents["ag"].home_node
         if db.nodes[home].down:
             return
-        db.fail_node(home)
+        kill(home)
         db.sim.schedule(
             down_for,
-            lambda name=home: (
-                db.recover_node(name) if db.nodes[name].down else None
-            ),
+            lambda name=home: revive(name) if db.nodes[name].down else None,
             label=f"nemesis agent-kill recovery {home}",
-        )
-
-    for at, down_for in agent_kills:
-        db.sim.schedule_at(
-            at, lambda d=down_for: kill_home(d), label="nemesis agent-kill"
         )
 
     trackers = []
@@ -333,18 +400,6 @@ def run_nemesis(
             db.submit_update(
                 "ag", body, reads=chosen, writes=chosen, txn_id=f"T{index}"
             )
-        )
-
-    for index in range(config.n_updates):
-        db.sim.schedule_at(
-            workload_rng.uniform(0.0, config.horizon * 0.7),
-            lambda i=index: submit(i),
-        )
-    for _ in range(config.n_moves):
-        destination = workload_rng.choice(nodes)
-        db.sim.schedule_at(
-            workload_rng.uniform(0.0, config.horizon * 0.7),
-            lambda d=destination: _try_move(db, d),
         )
 
     read_trackers = []
@@ -370,7 +425,24 @@ def run_nemesis(
             )
         )
 
-    if config.n_quorum_reads:
+    def schedule_run() -> None:
+        if config.failover:
+            db.availability.start(until=config.horizon)
+        for at, down_for in agent_kills:
+            db.sim.schedule_at(
+                at, lambda d=down_for: kill_home(d), label="nemesis agent-kill"
+            )
+        for index in range(config.n_updates):
+            db.sim.schedule_at(
+                workload_rng.uniform(0.0, config.horizon * 0.7),
+                lambda i=index: submit(i),
+            )
+        for _ in range(config.n_moves):
+            destination = workload_rng.choice(nodes)
+            db.sim.schedule_at(
+                workload_rng.uniform(0.0, config.horizon * 0.7),
+                lambda d=destination: _try_move(db, d),
+            )
         for index in range(config.n_quorum_reads):
             db.sim.schedule_at(
                 workload_rng.uniform(
@@ -378,21 +450,35 @@ def run_nemesis(
                 ),
                 lambda i=index: submit_read(i),
             )
-    db.quiesce()
+
+    # On asyncio the clock starts with the runtime, and the whole
+    # schedule is laid down on the loop thread in one step, so no
+    # callback fires (and draws) while the rest is still being drawn.
+    db.start_runtime()
+    try:
+        db.call_on_runtime(schedule_run)
+        db.quiesce()
+        converge_time = db.sim.now
+    finally:
+        db.stop_runtime()
+        if trace_path is not None:
+            db.tracer.close()
+    if live:
+        db.sim.check()
     events = [event.as_dict() for event in db.tracer]
     audit = audit_events(
         events, protocol=protocol_name, run=f"{protocol_name}@{seed}"
     )
     first = audit.first_violation()
-    accountant = account_events(events, end_time=db.sim.now)
+    accountant = account_events(events, end_time=converge_time)
     causes: dict[str, float] = {}
     for fragment in accountant.fragment_agent:
         for cause, held in accountant.fragment_summary(fragment, "write")[
             "by_cause"
         ].items():
             causes[cause] = round(causes.get(cause, 0.0) + held, 6)
-    if trace_path is not None:
-        db.tracer.close()
+    if db_sink is not None:
+        db_sink.append(db)
 
     injector = db.injector
     transport = db.transport
@@ -412,7 +498,7 @@ def run_nemesis(
         ),
         exhausted=transport.exhausted if transport is not None else 0,
         messages_sent=db.network.messages_sent,
-        converge_time=db.sim.now,
+        converge_time=converge_time,
         state_hash=db.state_hash(),
         audit_ok=audit.ok,
         audit_violations=audit.violation_count,
@@ -440,3 +526,20 @@ def run_nemesis(
         worst_window=round(accountant.worst_window("write"), 6),
         unavailability_causes=causes,
     )
+
+
+def _try_move(db: FragmentedDatabase, destination: str) -> None:
+    if isinstance(db.movement, FixedAgentsProtocol):
+        return  # drawn all the same, but this protocol refuses every move
+    agent = db.agents["ag"]
+    token = agent.token_for("F")
+    if token.in_transit or agent.home_node == destination:
+        return
+    if db.nodes[destination].down:
+        return  # never move the agent onto a crashed node
+    if any(
+        not db.replicates(destination, fragment)
+        for fragment in agent.fragments
+    ):
+        return  # the agent only runs where its fragments are replicated
+    db.move_agent("ag", destination, transport_delay=2.0)

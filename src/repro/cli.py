@@ -22,7 +22,7 @@
     python -m repro experiment E19 --check   # E18-E21: run, print, gate
     python -m repro experiment E18 --json BENCH_scale.json   # regenerate
     python -m repro serve               # asyncio backend behind HTTP
-    python -m repro chaos --backend=asyncio --seeds 3   # live chaos
+    python -m repro chaos --backend=asyncio --seeds 2   # on real sockets
 """
 
 from __future__ import annotations
@@ -30,8 +30,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 
 from repro.analysis.experiments import EXPERIMENTS, run_experiment
+from repro.analysis.nemesis import (
+    PROTOCOLS,
+    RUNNABLE,
+    NemesisConfig,
+    run_nemesis,
+)
 from repro.analysis.report import (
     format_metrics_snapshot,
     format_table,
@@ -49,6 +56,7 @@ from repro.analysis.theorem import run_random_workload
 from repro.core.control.acyclic import AcyclicReadsStrategy
 from repro.core.control.read_locks import ReadLocksStrategy
 from repro.core.control.unrestricted import UnrestrictedReadsStrategy
+from repro.errors import DesignError
 
 
 def _config_from_args(args: argparse.Namespace) -> SpectrumConfig:
@@ -237,15 +245,15 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    if getattr(args, "backend", "sim") == "asyncio":
-        return _cmd_chaos_asyncio(args)
-    from repro.analysis.nemesis import NemesisConfig, run_nemesis
-    from repro.analysis.torture import PROTOCOLS
-
     config = NemesisConfig(
         loss_rate=args.loss_rate if args.loss_rate is not None else 0.15,
         dup_rate=args.dup_rate if args.dup_rate is not None else 0.05,
-        jitter=args.jitter if args.jitter is not None else 2.0,
+        # Real sockets supply their own latency: an unset --jitter is 0
+        # there, and an explicit one is refused by the database.
+        jitter=(
+            args.jitter if args.jitter is not None
+            else 0.0 if args.backend == "asyncio" else 2.0
+        ),
         n_bursts=args.bursts,
         n_flaps=args.flaps,
         n_crashes=args.crashes,
@@ -263,13 +271,30 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         if args.seeds
         else [args.seed]
     )
+    backend = " --backend=asyncio" if args.backend == "asyncio" else ""
     if args.trace:
         open(args.trace, "w", encoding="utf-8").close()  # truncate
     rows = []
     violations = []
     for protocol in protocols:
         for seed in seeds:
-            result = run_nemesis(seed, protocol, config, trace_path=args.trace)
+            try:
+                result = run_nemesis(
+                    seed, protocol, config, trace_path=args.trace,
+                    backend=args.backend,
+                )
+            except DesignError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            except Exception as exc:  # noqa: BLE001 - a row, not an abort
+                print(f"{protocol}@{seed}: raised", file=sys.stderr)
+                traceback.print_exc()
+                violations.append((protocol, seed))
+                rows.append(
+                    [protocol, seed, *["-"] * 12,
+                     f"VIOLATION ({type(exc).__name__}: {exc})"]
+                )
+                continue
             ok = result.respects_guarantees()
             if not ok:
                 violations.append((protocol, seed))
@@ -317,7 +342,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
              "MC", "FW", "audit", "verdict"],
             rows,
             title=(
-                f"chaos nemesis (loss={config.loss_rate}, "
+                f"chaos nemesis{backend} (loss={config.loss_rate}, "
                 f"dup={config.dup_rate}, jitter={config.jitter}, "
                 f"bursts={config.n_bursts}, flaps={config.n_flaps}, "
                 f"crashes={config.n_crashes}, "
@@ -337,90 +362,26 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos_asyncio(args: argparse.Namespace) -> int:
-    """Chaos on the real backend: the FaultPlan + a hard kill over TCP."""
-    from repro.analysis.live import run_live_chaos
-    from repro.errors import DesignError
-    from repro.net.faults import FaultPlan
-
-    faults = FaultPlan(
-        loss_rate=args.loss_rate if args.loss_rate is not None else 0.05,
-        dup_rate=args.dup_rate or 0.0,
-        jitter=args.jitter or 0.0,
-    )
-    seeds = (
-        range(args.seed, args.seed + args.seeds)
-        if args.seeds
-        else [args.seed]
-    )
-    if args.trace:
-        open(args.trace, "w", encoding="utf-8").close()  # truncate
-    rows = []
-    violations = []
-    for seed in seeds:
-        try:
-            result = run_live_chaos(
-                faults,
-                seed=seed,
-                trace_path=args.trace,
-                trace_append=True,
-            )
-        except DesignError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not result["respects_guarantees"]:
-            violations.append(seed)
-        rows.append([
-            seed,
-            f"{result['committed']}/{result['submitted']}",
-            result["dropped"],
-            result["duplicated"],
-            result["dropped_down"],
-            result["retransmits"],
-            result["failovers"],
-            result["retries"],
-            f"{result['throughput_ups']}/s",
-            "ok" if result["audit_ok"]
-            else f"FAIL:{result['audit_violations']}",
-            "OK" if result["respects_guarantees"] else "VIOLATION",
-        ])
-    print(
-        format_table(
-            ["seed", "committed", "drops", "dups", "down-drops", "retrans",
-             "failovers", "http-retries", "throughput", "audit", "verdict"],
-            rows,
-            title=(
-                f"chaos --backend=asyncio (real TCP; loss={faults.loss_rate}, "
-                f"dup={faults.dup_rate}, one hard kill per run)"
-            ),
-        )
-    )
-    if args.trace:
-        print(f"\ntrace written to {args.trace}")
-    if violations:
-        print(
-            f"\n{len(violations)} guarantee violation(s) at seeds "
-            f"{violations}",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"\nall {len(rows)} live runs respected the Section 4.4 "
-          "guarantees")
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Boot the asyncio backend and serve it over HTTP until Ctrl-C."""
-    from repro.analysis.live import build_system
+    from repro.availability import AvailabilityConfig
+    from repro.core.system import FragmentedDatabase
     from repro.serve import FrontDoor
 
-    db = build_system(
-        nodes=args.nodes,
-        fragments=args.fragments,
-        factor=args.factor,
+    names = [f"N{i}" for i in range(args.nodes)]
+    db = FragmentedDatabase(
+        names,
+        runtime="asyncio",
         tick=args.tick,
-        trace_path=args.trace,
+        replication_factor=args.factor,
+        availability=AvailabilityConfig(),
     )
+    for i in range(args.fragments):
+        db.add_agent(f"ag{i}", home_node=names[i % args.nodes])
+        db.add_fragment(f"F{i}", agent=f"ag{i}", objects=[f"x{i}"])
+    db.load({f"x{i}": 0 for i in range(args.fragments)})
+    db.finalize()
+    db.enable_tracing(path=args.trace)
     db.start_runtime()
     db.call_on_runtime(lambda: db.availability.start(until=10_000_000.0))
     door = FrontDoor(db, host=args.host, port=args.port).start()
@@ -766,9 +727,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep N consecutive seeds starting at --seed",
     )
     chaos.add_argument(
-        "--protocol", choices=["none", "majority", "with-data",
-                               "with-seqno", "corrective"],
-        default=None, help="run one protocol (default: all five)",
+        "--protocol", choices=list(RUNNABLE), default=None,
+        help="run one protocol (default: the five movement protocols; "
+        "fixed-agents is the one `repro serve` runs)",
     )
     chaos.add_argument(
         "--bursts", type=int, default=1, help="scheduled loss bursts"
@@ -821,10 +782,10 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--trace", default=None, help=trace_help)
     chaos.add_argument(
         "--backend", choices=["sim", "asyncio"], default="sim",
-        help="sim: seeded nemesis in the simulator (default); asyncio: "
-        "real TCP under the same seeded loss/duplication (defaults: "
-        "loss 0.05, dup 0; --jitter is simulator-only), one hard kill "
-        "per run, HTTP-driven workload",
+        help="sim: the nemesis in the simulator (default); asyncio: the "
+        "same seeded workload and fault plan in real time over TCP, "
+        "agent-home kills at the socket level (--jitter is "
+        "simulator-only: unset means 0 there)",
     )
     _add_fault_args(chaos)
     chaos.set_defaults(func=cmd_chaos)
@@ -861,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("trace_file", help="JSONL trace file to audit")
     audit.add_argument(
         "--protocol",
-        choices=["none", "majority", "with-data", "with-seqno", "corrective"],
+        choices=list(RUNNABLE),
         default=None,
         help="force the guarantee matrix of one protocol (default: infer "
         "from each run's '{protocol}@{seed}' label)",

@@ -57,7 +57,12 @@ from repro.core.transaction import (
     RequestTracker,
     TransactionSpec,
 )
-from repro.errors import DesignError, InitiationError, TokenError
+from repro.errors import (
+    DesignError,
+    InitiationError,
+    SimulationError,
+    TokenError,
+)
 from repro.net.faults import CrashEpisode, FaultInjector, FaultPlan
 from repro.net.network import Network
 from repro.net.partition import PartitionManager
@@ -80,6 +85,10 @@ from repro.storage.store import ObjectStore
 #: that node's WAL and, behind the cluster watermark, its stream archive.
 LIVE_WINDOW = 1024
 LIVE_CHECKPOINT_EVERY = 64
+#: Wall seconds ``quiesce()`` waits on the asyncio backend before it
+#: calls the run stuck (a timer chain with a far horizon, such as a
+#: served supervisor's probes, never drains).
+LIVE_QUIESCE_TIMEOUT = 120.0
 
 InstallHook = Callable[[DatabaseNode, QuasiTransaction], None]
 CorrectiveHook = Callable[[DatabaseNode, QuasiTransaction, list], None]
@@ -1067,7 +1076,26 @@ class FragmentedDatabase:
         self.sim.run(until=until)
 
     def quiesce(self) -> None:
-        """Run the simulation until every queued event has fired."""
+        """Run until every queued event has fired.
+
+        On the asyncio backend: wait, evaluated on the loop, until no
+        timer is pending and every TCP outbox is empty.  The reliable
+        transport is always on there, so no pending retransmit timer
+        means every data frame was acknowledged.  Then raise any
+        exception a loop callback captured, as the simulator would.
+        """
+        if self.runtime_name == "asyncio":
+            idle = self.sim.wait_until(
+                lambda: not self.sim.pending and not self.network.outbox_depth(),
+                timeout=LIVE_QUIESCE_TIMEOUT,
+            )
+            self.sim.check()
+            if not idle:
+                raise SimulationError(
+                    f"not quiescent after {LIVE_QUIESCE_TIMEOUT:g} s: "
+                    f"{self.sim.pending} timer(s) pending"
+                )
+            return
         self.sim.run()
 
     # -- correctness and metrics -------------------------------------------------------

@@ -106,7 +106,7 @@ class TcpMeshNetwork(Network):
         self._c_frames_lost = self.metrics.counter("tcp.frames_lost")
         self._c_undecodable = self.metrics.counter("tcp.frames_undecodable")
         self._c_bytes_out = self.metrics.counter("tcp.bytes_sent")
-        self.metrics.gauge("tcp.outbox_now", self._outbox_depth)
+        self.metrics.gauge("tcp.outbox_now", self.outbox_depth)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -182,7 +182,8 @@ class TcpMeshNetwork(Network):
         """The real server port of ``node`` (after :meth:`start`)."""
         return self._ports[node]
 
-    def _outbox_depth(self) -> int:
+    def outbox_depth(self) -> int:
+        """Frames queued for the sockets and not yet written."""
         return sum(q.qsize() for q in self._queues.values())
 
     # -- transmission override -------------------------------------------

@@ -319,6 +319,7 @@ class TestTraceFileRoundTrip:
     def test_infer_protocol(self):
         assert infer_protocol("corrective@3") == "corrective"
         assert infer_protocol("with-data@17") == "with-data"
+        assert infer_protocol("fixed-agents@2") == "fixed-agents"
         assert infer_protocol("fa-unrestricted@0") is None
         assert infer_protocol("") is None
 

@@ -81,6 +81,41 @@ class TestCli:
         assert "OK" in out
 
 
+    def test_a_run_that_raises_is_a_violation_row(self, capsys):
+        # none@167 trips a known lost-object defect (an update runs at
+        # a crashed home): the sweep reports it and goes on.
+        assert main(["chaos", "--protocol", "none", "--seed", "167",
+                     "--seeds", "2"]) == 1
+        captured = capsys.readouterr()
+        rows = [line for line in captured.out.splitlines()
+                if line.startswith("none ")]
+        assert len(rows) == 2
+        assert "VIOLATION (ReproError: node 'N0': unknown data object 'u')" \
+            in rows[0]
+        assert rows[1].rstrip().endswith("OK")
+        assert "1 guarantee violation(s): [('none', 167)]" in captured.err
+
+    def test_a_loop_error_on_asyncio_is_a_violation_row(
+        self, capsys, monkeypatch
+    ):
+        from repro import cli
+        from repro.errors import SimulationError
+
+        def raising(seed, protocol, config, trace_path, backend):
+            assert backend == "asyncio" and config.jitter == 0.0
+            raise SimulationError("1 runtime callback(s) raised")
+
+        monkeypatch.setattr(cli, "run_nemesis", raising)
+        assert main(["chaos", "--backend=asyncio",
+                     "--protocol", "fixed-agents"]) == 1
+        assert ("VIOLATION (SimulationError: 1 runtime callback(s) "
+                "raised)") in capsys.readouterr().out
+
+    def test_asyncio_refuses_an_explicit_jitter(self, capsys):
+        assert main(["chaos", "--backend=asyncio", "--jitter", "1"]) == 2
+        assert "jitter is simulator-only" in capsys.readouterr().err
+
+
 class TestObservabilityCommands:
     def trace_file(self, tmp_path, capsys):
         """Produce a small traced chaos run to feed the dashboard."""

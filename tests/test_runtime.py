@@ -533,6 +533,56 @@ def test_fault_plan_jitter_requires_the_sim_runtime():
         )
 
 
+def test_the_nemesis_kills_a_fixed_agents_home_on_real_sockets():
+    """The chaos driver on asyncio: a socket-level kill of the served
+    protocol's agent home is carried by a supervisor failover, and the
+    run keeps its guarantee row (MC, FW) with a clean audit."""
+    from repro.analysis.nemesis import NemesisConfig, run_nemesis
+
+    config = NemesisConfig(
+        loss_rate=0.0, dup_rate=0.0, jitter=0.0, n_partitions=0,
+        n_agent_kills=1, failover=True,
+    )
+    result = run_nemesis(0, "fixed-agents", config, backend="asyncio")
+    assert result.mutually_consistent and result.fragmentwise, result
+    assert result.audit_ok, result.audit_first
+    assert result.failovers >= 1
+    assert result.respects_guarantees()
+
+
+def test_quiesce_on_asyncio_waits_for_acknowledged_delivery():
+    def body(_ctx):
+        yield Write("x", 7)
+
+    db = build_db()
+    with db:
+        tracker = db.call_on_runtime(
+            lambda: db.submit_update("ag", body, writes=["x"])
+        )
+        db.quiesce()
+        assert tracker.succeeded
+        assert db.call_on_runtime(
+            lambda: (db.sim.pending, db.network.outbox_depth(),
+                     db.transport.unacked_count())
+        ) == (0, 0, 0)
+        assert all(
+            db.nodes[n].store.read_version("x").value == 7 for n in "ABC"
+        )
+
+
+def test_quiesce_on_asyncio_fails_loudly_when_timers_never_drain(
+    monkeypatch,
+):
+    from repro.core import system
+
+    monkeypatch.setattr(system, "LIVE_QUIESCE_TIMEOUT", 0.3)
+    db = build_db(availability=AvailabilityConfig())
+    with db:
+        db.call_on_runtime(lambda: db.availability.start(until=1e9))
+        with pytest.raises(SimulationError, match="not quiescent"):
+            db.quiesce()
+
+
 # ---------------------------------------------------------------------------
 # Backend conformance: both backends satisfy the declared runtime seam
 

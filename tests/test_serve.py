@@ -631,20 +631,6 @@ def test_stop_leaves_no_task_or_transport_behind():
     db.sim.check()
 
 
-def test_live_chaos_driver_rides_a_failover():
-    """`repro chaos --backend=asyncio` without frame loss: the kill is
-    carried by a supervisor failover, every client write commits and
-    the audit over the live trace is clean."""
-    from repro.analysis.live import run_live_chaos
-    from repro.net.faults import FaultPlan
-
-    result = run_live_chaos(FaultPlan(), seed=0)
-    assert result["committed"] == result["submitted"] == 40, result
-    assert result["failovers"] >= 1
-    assert result["audit_ok"], result
-    assert result["respects_guarantees"]
-
-
 # ---------------------------------------------------------------------------
 # What a served system retains is bounded by configuration, not uptime
 
